@@ -42,6 +42,7 @@ from .cranks import (
     c_ls,
     histogram,
     c_ls_histogram,
+    c_ls_histograms,
     vertex_crank_values,
     step_deltas,
     AffineMap2,

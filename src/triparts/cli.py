@@ -6,29 +6,22 @@ envelope (documented in docs/cli-schema.json); `decompose` emits the bare
 {"mu": ..., "tau": ...} object.  CSV uses CRLF line endings with fixed
 column orders.  Exit codes: 0 success, 1 verification failure, 2 input
 error.  All output is deterministic for identical inputs.
-
-TRIPARTS_WORKERS controls how many processes the `verify` sweep uses
-(default: the machine's logical core count).
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import __version__
-from .congruence import (
-    characterize,
-    non_witnessed_residues,
-    verify_characterization,
-)
+from .congruence import characterize, non_witnessed_residues
 from .cranks import (
     arrangement_2m_minus_2,
     build_arrangement,
     c_ls,
     c_ls_histogram,
+    c_ls_histograms,
     case_labels,
     cycle_decomposition,
     ehrhart_crank_closed_form,
@@ -38,20 +31,10 @@ from .cranks import (
     plan_crank,
 )
 from .ehrhart import box_compose, box_decompose, h_star, h_star_from_gf, tile_partition_triangle
-from .partitions import check_partition, count_bruteforce
+from .partitions import check_partition
 from .quasipoly import evaluate
 
 _METHODS = ("brute", "nearest", "monomial", "binomial", "circulator")
-
-
-def _workers():
-    raw = os.environ.get("TRIPARTS_WORKERS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError("TRIPARTS_WORKERS must be an integer, got %r" % raw)
-    return os.cpu_count() or 1
 
 
 def _print_report(command, inputs, outcome, payload):
@@ -110,59 +93,38 @@ def cmd_residues(args):
     return 0
 
 
-def _divisible_chunk(task):
-    m, lo, hi = task
-    return [count_bruteforce(n) % m == 0 for n in range(lo, hi)]
-
-
-def _actual_divisibility(m, n_max, workers):
-    """Brute-force divisibility flags for n = 0..n_max, optionally sharded."""
-    if workers <= 1 or n_max < 4000:
-        return _divisible_chunk((m, 0, n_max + 1))
-    import multiprocessing
-
-    chunk = 512
-    tasks = [(m, lo, min(lo + chunk, n_max + 1))
-             for lo in range(0, n_max + 1, chunk)]
-    with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_divisible_chunk, tasks)
-    flags = []
-    for part in parts:
-        flags.extend(part)
-    return flags
-
-
 def cmd_verify(args):
     ch = characterize(args.m)
     n_max = args.max_n if args.max_n is not None else 60 * args.m
-    workers = _workers()
-    flags = _actual_divisibility(args.m, n_max, workers)
+    if n_max < 0:
+        raise ValueError("--max-n must be non-negative, got %d" % n_max)
+    witnessed_skip = frozenset()
+    if ch.family == "plus_one":
+        witnessed_skip = non_witnessed_residues(args.m)
+    # One pass: sum(hist) = p(n,3) gives the actual divisibility, the
+    # spread of hist the uniformity.  On a mismatch the sweep stops and
+    # reports no uniformity findings.
     mismatch = None
-    for n, actual in enumerate(flags):
-        predicted = n % ch.period in ch.residues
-        if predicted != actual:
-            mismatch = n
-            break
-    notes = []
     uniformity_violations = []
     non_witnessed_hits = []
-    if mismatch is None:
-        witnessed_skip = frozenset()
-        if ch.family == "plus_one":
-            witnessed_skip = non_witnessed_residues(args.m)
-            notes.append("non-witnessed residues mod %d: %s (largest-minus-"
-                         "smallest is not a crank there)"
-                         % (ch.period, sorted(witnessed_skip)))
-        for n in range(3, n_max + 1):
-            divisible = n % ch.period in ch.residues
-            hist = c_ls_histogram(n, args.m)
-            uniform = is_uniform(hist)
-            if n % ch.period in witnessed_skip:
-                if not uniform:
-                    non_witnessed_hits.append(n)
-                continue
-            if uniform != divisible:
-                uniformity_violations.append(n)
+    for n, hist in c_ls_histograms(args.m, n_max):
+        residue = n % ch.period
+        divisible = residue in ch.residues
+        if divisible != (sum(hist.counts) % args.m == 0):
+            mismatch = n
+            uniformity_violations, non_witnessed_hits = [], []
+            break
+        uniform = is_uniform(hist)
+        if residue in witnessed_skip:
+            if not uniform:
+                non_witnessed_hits.append(n)
+        elif uniform != divisible:
+            uniformity_violations.append(n)
+    notes = []
+    if mismatch is None and witnessed_skip:
+        notes.append("non-witnessed residues mod %d: %s (largest-minus-"
+                     "smallest is not a crank there)"
+                     % (ch.period, sorted(witnessed_skip)))
     ok = mismatch is None and not uniformity_violations
     payload = {
         "modulus": args.m,
@@ -174,7 +136,7 @@ def cmd_verify(args):
         "notes": notes,
     }
     if ch.family == "plus_one":
-        payload["non_witnessed_residues"] = sorted(non_witnessed_residues(args.m))
+        payload["non_witnessed_residues"] = sorted(witnessed_skip)
         payload["non_witnessed_nonuniform_heights"] = non_witnessed_hits
     _print_report("verify", {"m": args.m, "max_n": n_max},
                   "success" if ok else "failure", payload)
@@ -197,6 +159,8 @@ def _crank_function(args):
 
 
 def cmd_histogram(args):
+    if args.m <= 0:
+        raise ValueError("m must be positive, got %d" % args.m)
     crank, tag = _crank_function(args)
     if tag == "cls" and args.fast:
         hist = c_ls_histogram(args.n, args.m)
@@ -371,7 +335,7 @@ def build_parser():
     p.add_argument("m", type=int)
     p.set_defaults(fn=cmd_residues)
 
-    p = sub.add_parser("verify", help="check the characterization against brute force")
+    p = sub.add_parser("verify", help="check the characterization and c_ls uniformity")
     p.add_argument("m", type=int)
     p.add_argument("--max-n", type=int, default=None)
     p.set_defaults(fn=cmd_verify)

@@ -74,6 +74,34 @@ def c_ls_histogram(n, m):
     return CrankHistogram(m, tuple(counts))
 
 
+def c_ls_histograms(m, n_max):
+    """Yield (n, c_ls_histogram(n, m)) for n = 0 .. n_max in O(m) per height.
+
+    In column multiplicities (b1, b2, b3) a partition has n = b1 + 2 b2 +
+    3 b3 and c_ls = b1 + b2, so the histograms H_n(z) have generating
+    function q^3 / ((1 - q^3)(1 - z q)(1 - z q^2)).  Over Z[z]/(z^m - 1),
+    with G_0 = 1:
+
+        G_k = z G_(k-1) + [k even] z^(k/2),    H_n = H_(n-3) + G_(n-3).
+
+    Only the last three rows are kept, H_n overwriting H_(n-3) in place.
+    sum(H_n) is p(n,3) by counting, independent of the closed forms.
+    """
+    if m <= 0:
+        raise ValueError("modulus must be positive, got %r" % (m,))
+    rows = [[0] * m for _ in range(3)]
+    g = [1] + [0] * (m - 1)  # G_(n-3)
+    for n in range(n_max + 1):
+        h = rows[n % 3]
+        if n >= 3:
+            h[:] = map(int.__add__, h, g)
+            k = n - 2
+            g.insert(0, g.pop())
+            if k % 2 == 0:
+                g[(k // 2) % m] += 1
+        yield n, CrankHistogram(m, tuple(h))
+
+
 # ---------------------------------------------------------------------------
 # Vertex values and step deltas of the quotient triangles
 

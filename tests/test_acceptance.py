@@ -6,8 +6,10 @@ guarantee carries one; sweeps use the bulk helpers where the scalar route
 would not fit the ceiling.
 """
 
+import json
 import time
 
+from triparts import cli
 from triparts.bulk import check_box_bijection, cycle_length_multiset, step_successors
 from triparts.congruence import is_divisible, residues_pos, verify_characterization
 from triparts.cranks import (
@@ -187,3 +189,15 @@ def test_10_step_delta_constants():
                     other = box_compose(mu, shifted)
                     delta = (other[0] - other[2]) - (base[0] - base[2])
                     assert delta == expected[name], (mu, tau, name)
+
+
+def test_11_verify_sweeps_in_linear_time(capsys):
+    for m, n_max in ((5, 8000), (101, 6060)):
+        start = time.monotonic()
+        code = cli.main(["verify", str(m), "--max-n", str(n_max)])
+        elapsed = time.monotonic() - start
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert code == 0, (m, n_max)
+        assert payload["characterization_ok"] is True, (m, n_max)
+        assert payload["uniformity_violations"] == [], (m, n_max)
+        assert elapsed < 2.0, (m, n_max, elapsed)

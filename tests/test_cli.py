@@ -100,8 +100,7 @@ def test_residues_unsupported_modulus(capsys):
     assert "error:" in err
 
 
-def test_verify_minus_family(capsys, monkeypatch):
-    monkeypatch.setenv("TRIPARTS_WORKERS", "1")
+def test_verify_minus_family(capsys):
     code, out, _ = run(capsys, "verify", "5", "--max-n", "300")
     assert code == 0
     doc = check_schema(out)
@@ -111,8 +110,7 @@ def test_verify_minus_family(capsys, monkeypatch):
     assert doc["payload"]["uniformity_violations"] == []
 
 
-def test_verify_plus_family_notes_exceptions(capsys, monkeypatch):
-    monkeypatch.setenv("TRIPARTS_WORKERS", "1")
+def test_verify_plus_family_notes_exceptions(capsys):
     code, out, _ = run(capsys, "verify", "7", "--max-n", "420")
     assert code == 0
     doc = check_schema(out)
@@ -121,11 +119,12 @@ def test_verify_plus_family_notes_exceptions(capsys, monkeypatch):
     assert any("non-witnessed" in note for note in doc["payload"]["notes"])
 
 
-def test_verify_rejects_bad_worker_count(capsys, monkeypatch):
-    monkeypatch.setenv("TRIPARTS_WORKERS", "many")
-    code, _, err = run(capsys, "verify", "5", "--max-n", "60")
+def test_verify_rejects_negative_max_n(capsys):
+    code, out, err = run(capsys, "verify", "5", "--max-n", "-5")
     assert code == 2
-    assert "TRIPARTS_WORKERS" in err
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_histogram_uniform_exit0(capsys):
@@ -142,6 +141,16 @@ def test_histogram_nonuniform_exit1(capsys):
     assert code == 1
     doc = check_schema(out)
     assert doc["payload"]["counts"] == [1, 0, 1, 2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+@pytest.mark.parametrize("fast", [[], ["--fast"]])
+def test_histogram_rejects_nonpositive_modulus(capsys, m, fast):
+    code, out, err = run(capsys, "histogram", "10", m, *fast)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_histogram_fast_matches_enumeration(capsys):

@@ -8,6 +8,7 @@ from triparts.cranks import (
     build_arrangement,
     c_ls,
     c_ls_histogram,
+    c_ls_histograms,
     case_labels,
     cycle_decomposition,
     cycle_lengths,
@@ -26,7 +27,7 @@ from triparts.cranks import (
 )
 from triparts.congruence import is_divisible, non_witnessed_residues, residues_pos
 from triparts.ehrhart import box_compose
-from triparts.partitions import enumerate_partitions
+from triparts.partitions import count_bruteforce, enumerate_partitions
 
 # ---------------------------------------------------------------------------
 # c_ls and histograms
@@ -55,6 +56,29 @@ def test_fast_histogram_matches_enumeration():
     for m in (5, 7, 11):
         for n in range(0, 250):
             assert c_ls_histogram(n, m) == histogram(n, m, c_ls)
+
+
+@pytest.mark.parametrize("m", [5, 7, 11, 13, 97])
+def test_recurrence_histograms_match_scalar_routes(m):
+    heights = []
+    for n, hist in c_ls_histograms(m, 600):
+        heights.append(n)
+        assert hist.counts == c_ls_histogram(n, m).counts, (n, m)
+        assert sum(hist.counts) == count_bruteforce(n), (n, m)
+    assert heights == list(range(601))
+
+
+def test_recurrence_histograms_below_three_are_empty():
+    for m in (1, 5, 7, 97):
+        for n, hist in c_ls_histograms(m, 2):
+            assert hist.counts == (0,) * m, (n, m)
+    assert [n for n, _ in c_ls_histograms(5, -1)] == []
+
+
+def test_recurrence_histograms_reject_bad_modulus():
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            next(c_ls_histograms(m, 10))
 
 
 def test_uniformity_tracks_divisibility():
