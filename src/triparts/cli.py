@@ -45,8 +45,7 @@ def _print_report(command, inputs, outcome, payload):
 
 def cmd_count(args):
     if args.n < 0:
-        print("n must be non-negative", file=sys.stderr)
-        return 2
+        raise ValueError("n must be non-negative, got %d" % args.n)
     if args.method == "all":
         values = {name: evaluate(args.n, name).value for name in _METHODS}
         consistent = len(set(values.values())) == 1
@@ -244,8 +243,7 @@ def cmd_rectangle(args):
                     lam = box_compose(mu, tau)
                     writer.writerow([x, y, lam[0], lam[1], lam[2]])
         except OSError as exc:
-            print("cannot write %s: %s" % (args.cells_csv, exc), file=sys.stderr)
-            return 2
+            raise ValueError("cannot write %s: %s" % (args.cells_csv, exc))
     return 0 if report.ok else 1
 
 
@@ -297,15 +295,13 @@ def render_tiling_svg(n):
 
 def cmd_tile(args):
     if args.n < 3:
-        print("need n >= 3 for a non-empty tiling", file=sys.stderr)
-        return 2
+        raise ValueError("need n >= 3 for a non-empty tiling, got %d" % args.n)
     svg = render_tiling_svg(args.n)
     try:
         with open(args.path, "w", encoding="utf-8") as fp:
             fp.write(svg)
     except OSError as exc:
-        print("cannot write %s: %s" % (args.path, exc), file=sys.stderr)
-        return 2
+        raise ValueError("cannot write %s: %s" % (args.path, exc))
     return 0
 
 

@@ -14,6 +14,7 @@ primes m with m % 6 == 5:
 """
 
 from collections import namedtuple
+from itertools import repeat
 
 from .congruence import is_prime, residues_neg
 from .ehrhart import (
@@ -275,10 +276,73 @@ class RectanglePlan:
         self._cells[kprime] = out
         return out
 
+    def _covers_by_runs(self, kprime):
+        """True when the placements cover the k' rectangle exactly once.
+
+        For fixed t1 the cells of tau = (t1, t2, s-t1-t2), t2 = 0..s-t1,
+        form an arithmetic run in the flat index y*W + x.  Runs are split
+        where the step-axis coordinate wraps mod its dimension, the other
+        coordinate is bounds-checked at both ends of each piece, and the
+        piece is marked in a bytearray by one slice assignment.  If all
+        cells land inside and their number is W*H, every byte being marked
+        means no cell was hit twice.  False on any failure, without
+        saying which.
+        """
+        w, h = self.dims(kprime)
+        k = self.k_for(kprime)
+        sizes = [k - size_offset for _, size_offset, _ in self.placements]
+        if w == 0 or h == 0:
+            # no cell fits, so the cover holds only with no triangle at all
+            return all(s < 0 for s in sizes)
+        # u runs along the step axis (taken mod wrap), v across it (0..span-1)
+        if self.delta == (1, 0):
+            axes, wrap, span, su, sv = (0, 1), w, h, 1, w
+        else:
+            axes, wrap, span, su, sv = (1, 0), h, w, w, 1
+        grid = bytearray(w * h)
+        ones = b"\x01" * (max(sizes, default=-1) + 1)
+        total = 0
+        for s, (_, _, mp) in zip(sizes, self.placements):
+            (a, b, c), (d, e, f) = (mp.matrix[i] for i in axes)
+            ou, ov = (mp.offset[i] for i in axes)
+            du, dv = b - c, e - f
+            step = du * su + dv * sv
+            stride = abs(step) or 1
+            for t1 in range(s + 1):
+                u = ((a - c) * t1 + c * s + ou) % wrap
+                v = (d - f) * t1 + f * s + ov
+                left = s - t1 + 1
+                total += left
+                while left:
+                    if du > 0:
+                        run = min(left, (wrap - 1 - u) // du + 1)
+                    elif du < 0:
+                        run = min(left, u // -du + 1)
+                    else:
+                        run = left
+                    v_end = v + dv * (run - 1)
+                    if min(v, v_end) < 0 or max(v, v_end) >= span:
+                        return False
+                    if step == 0 and run > 1:
+                        return False  # the whole run sits on one cell
+                    first = u * su + v * sv
+                    lo = min(first, first + step * (run - 1))
+                    grid[lo:lo + stride * (run - 1) + 1:stride] = ones[:run]
+                    u, v = (u + du * run) % wrap, v_end + dv
+                    left -= run
+        return total == w * h and grid.count(0) == 0
+
     def verify_cover(self, kprime):
-        """Exhaustive disjoint-cover check for one k'."""
+        """Exhaustive disjoint-cover check for one k'.
+
+        Every cell is checked through whole runs (_covers_by_runs), one
+        byte per cell.  On a failure the report, with its detail, comes
+        from the cell-by-cell reference cells().
+        """
         dims = self.dims(kprime)
         expected = dims[0] * dims[1]
+        if self._covers_by_runs(kprime):
+            return CoverReport(True, expected, expected, "ok")
         try:
             got = len(self.cells(kprime))
         except ValueError as exc:
@@ -667,28 +731,62 @@ def step_f(lam, m):
     return _border_step(n, m, lam[2], r, big_k)
 
 
+def row_permutation(n, m):
+    """The permutation on rows (constant smallest part) induced by the
+    border jumps: row t maps to the row of step_f((n-2t, t, t)).
+
+    Off the border step_f slides (l1, l2, t) to (l1+1, l2-1, t), raising
+    c_ls by one and never landing on the top of a row.  So step_f is a
+    bijection of P(n,3) raising c_ls by one exactly when every border
+    jump lands on the top (n-l3-(n-l3)//2, (n-l3)//2, l3) of a row, raises
+    c_ls by one mod m, and the row map is a permutation.  All three are
+    asserted here, with n//3 border jumps in all.
+    """
+    r = _signed_residue(n, m)
+    big_k = (n - r) // (6 * m)
+    rows = n // 3
+    perm = {}
+    for t in range(1, rows + 1):
+        img = _border_step(n, m, t, r, big_k)
+        l3 = img[2]
+        half = (n - l3) // 2
+        if not (1 <= l3 <= rows and img == (n - l3 - half, half, l3)):
+            raise AssertionError("border image %r of row %d is not the top "
+                                 "of a row of P(%d,3)" % (img, t, n))
+        if (img[0] - l3 - (n - 3 * t) - 1) % m:
+            raise AssertionError("border jump from row %d to %r does not "
+                                 "raise c_ls by 1 mod %d" % (t, img, m))
+        perm[t] = l3
+    if len(set(perm.values())) != rows:
+        raise AssertionError("border rows of P(%d,3) do not map onto the "
+                             "rows one to one" % (n,))
+    return perm
+
+
 def cycle_decomposition(n, m):
     """Orbit partition of P(n,3) under step_f.
 
     Cycles are listed in first-appearance order of their smallest member
     under the partition enumeration; each cycle starts at that member.
+
+    Each orbit is a union of whole rows: a cycle (t0, t1, ...) of
+    row_permutation starts at the border (n-2 t0, t0, t0), then runs
+    rows t1, t2, ..., t0, each from its top down to its border, the
+    closing border dropped.  The verified row map costs n//3 border jumps;
+    the rest is writing the members out.
     """
-    parts = enumerate_partitions(n)
-    if not parts:
+    if n < 3:
         raise ValueError("no partitions of %d into three parts" % (n,))
-    _signed_residue(n, m)
-    seen = set()
+    perm = row_permutation(n, m)
     cycles = []
-    for lam in parts:
-        if lam in seen:
-            continue
-        cyc = [lam]
-        seen.add(lam)
-        cur = step_f(lam, m)
-        while cur != lam:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = step_f(cur, m)
+    for row_cycle in permutation_cycles(perm):
+        t0 = row_cycle[0]
+        cyc = [(n - 2 * t0, t0, t0)]
+        for t in row_cycle[1:] + (t0,):
+            top = (n - t) // 2
+            cyc.extend(zip(range(n - t - top, n - 2 * t + 1),
+                           range(top, t - 1, -1), repeat(t)))
+        cyc.pop()
         cycles.append(cyc)
     return CycleDecomposition(cycles)
 
@@ -696,15 +794,6 @@ def cycle_decomposition(n, m):
 def cycle_lengths(dec):
     """Sorted cycle lengths of a decomposition."""
     return sorted(len(c) for c in dec.cycles)
-
-
-def row_permutation(n, m):
-    """The permutation on rows (constant smallest part) induced by the
-    border jumps: row t maps to the row of step_f((n-2t, t, t))."""
-    perm = {}
-    for t in range(1, n // 3 + 1):
-        perm[t] = step_f((n - 2 * t, t, t), m)[2]
-    return perm
 
 
 def permutation_cycles(perm):

@@ -201,3 +201,20 @@ def test_11_verify_sweeps_in_linear_time(capsys):
         assert payload["characterization_ok"] is True, (m, n_max)
         assert payload["uniformity_violations"] == [], (m, n_max)
         assert elapsed < 2.0, (m, n_max, elapsed)
+
+
+def test_12_crank_exports_from_rows(capsys):
+    start = time.monotonic()
+    dec = cycle_decomposition(3000, 5)
+    elapsed = time.monotonic() - start
+    assert sum(len(c) for c in dec.cycles) == count_bruteforce(3000)
+    assert all(len(c) % 5 == 0 for c in dec.cycles)
+    assert elapsed < 1.0, elapsed
+    start = time.monotonic()
+    code = cli.main(["rectangle", "113", "3", "1"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert code == 0
+    assert payload["cover_ok"] is True
+    assert payload["cells"] == payload["width"] * payload["height"]
+    assert elapsed < 0.2, elapsed

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -59,7 +60,8 @@ def test_count_single_method(capsys):
 def test_count_negative_is_input_error(capsys):
     code, _, err = run(capsys, "count", "-4")
     assert code == 2
-    assert err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_hstar_report(capsys):
@@ -258,7 +260,18 @@ def test_tile_svg(tmp_path, capsys):
 def test_tile_rejects_tiny_n(capsys):
     code, _, err = run(capsys, "tile", "2", "out.svg")
     assert code == 2
-    assert err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_unwritable_paths_are_input_errors(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    for argv in (("tile", "20", missing),
+                 ("rectangle", "5", "1", "2m-2", "--cells-csv", missing)):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: cannot write "), argv
+        assert err.count("\n") == 1 and err.endswith("\n"), argv
 
 
 def test_version_flag(capsys):
@@ -273,3 +286,46 @@ def test_malformed_invocation_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count"])
     assert exc.value.code == 2
+
+
+# sha256 of stdout recorded before cycles and rectangle covers moved to
+# row-level routes; any byte of difference fails here.
+GOLDEN_STDOUT = [
+    (("cycles", "38", "5", "--format", "csv"),
+     "b2613a6543e9005ec29964300e7a0bce036ed54d3fd157e562dcd0d12ce8b5b3"),
+    (("cycles", "38", "5"),
+     "a5da372b1c9dce3feb2000687a3cc2cd8d9ca7f9b2b0120779080bffa7ca0f48"),
+    (("cycles", "998", "83", "--format", "csv"),
+     "d445b4ca8079fd69d90244a58f7c1a76c2122ad9b95b7945bd2aacc079ee7c44"),
+    (("cycles", "995", "71"),
+     "0627812d99e45b4b89b5249bf3f7640191542cc15dec996ba33887a40ef2e365"),
+    (("rectangle", "113", "3", "1"),
+     "65e0c70858476f1b56ce989c666554d4de36e9789babdd14911ac86f7803f166"),
+    (("rectangle", "83", "4", "0"),
+     "511490b4ce94a4bd094b54f1101908e1169fdabdb316ce35213e6c38d6684bd9"),
+    (("rectangle", "5", "20", "--", "-2"),
+     "3a689d474a47ddc0e3731739d21a3bb1274b238c17d46c2772c59b6a0aff6f73"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+                         ids=[" ".join(a) for a, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+def test_golden_cells_csv(tmp_path, capsys):
+    target = tmp_path / "cells.csv"
+    code, out, _ = run(capsys, "rectangle", "5", "1", "2m-2",
+                       "--cells-csv", str(target))
+    assert code == 0
+    assert _sha256(out) == (
+        "5bd24f29483072d7217877f5e876603d823b6b7ec02076b92454c75bef478a42")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "19b2307eed700eb5765d7a91897eaaae10cf984133014de4cb35f8443faeaa89")

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from triparts import cranks
 from triparts.cranks import (
     AffineMap2,
+    CoverReport,
     RectanglePlan,
     arrangement_2m_minus_2,
     build_arrangement,
@@ -274,6 +276,100 @@ def test_build_all_cases_cover_and_uniform():
                 assert sum(h.counts) == len(enumerate_partitions(n))
 
 
+def _cover_from_cells(plan, kprime):
+    """The cover report as read off the cell-by-cell reference cells()."""
+    expected = plan.dims(kprime)[0] * plan.dims(kprime)[1]
+    plan._cells.pop(kprime, None)
+    try:
+        got = len(plan.cells(kprime))
+    except ValueError as exc:
+        return CoverReport(False, None, expected, str(exc))
+    if got != expected:
+        return CoverReport(False, got, expected,
+                           "covered %d of %d cells" % (got, expected))
+    return CoverReport(True, got, expected, "ok")
+
+
+def _replan(plan, placements):
+    return RectanglePlan(plan.r_label, plan.r_value, plan.m, plan.ell1,
+                         plan.ell2, plan.k_offset, placements, plan.eta,
+                         plan.delta)
+
+
+def _moved(plan, which, matrix_fn, offset_fn):
+    """The plan with placements[i] for i in which remapped through
+    matrix_fn and offset_fn."""
+    placements = list(plan.placements)
+    for i in which:
+        mu, size_offset, mp = placements[i]
+        placements[i] = (mu, size_offset,
+                         AffineMap2(matrix_fn(mp.matrix), offset_fn(mp.offset)))
+    return _replan(plan, placements)
+
+
+@pytest.mark.parametrize("m", [5, 11, 17, 23])
+def test_cover_runs_match_cells(m):
+    plans = [build_arrangement(label, m) for label in case_labels()]
+    plans.append(arrangement_2m_minus_2(m))
+    for plan in plans:
+        for kprime in range(5):
+            rep = plan.verify_cover(kprime)
+            assert rep == _cover_from_cells(plan, kprime), (plan, kprime)
+            # the run route itself accepts, not the fallback behind it
+            assert plan._covers_by_runs(kprime) is rep.ok, (plan, kprime)
+
+
+@pytest.mark.parametrize("m", [5, 11])
+def test_cover_runs_on_mirrored_plans(m):
+    # Reflecting the step axis, u -> wrap - 1 - u, keeps an exact cover
+    # and turns runs that wrap downward into runs that wrap upward (only
+    # the dedicated 2m-2 layout has runs that wrap).
+    plans = [build_arrangement(label, m) for label in case_labels()]
+    for plan in plans + [arrangement_2m_minus_2(m)]:
+        label = plan.r_label
+        axis = 0 if plan.delta == (1, 0) else 1
+        for kprime in range(1, 4):
+            wrap = plan.dims(kprime)[axis]
+            mirrored = _moved(
+                plan, range(len(plan.placements)),
+                lambda mat: tuple(tuple(-x for x in row) if i == axis else row
+                                  for i, row in enumerate(mat)),
+                lambda off: tuple(wrap - 1 - o if i == axis else o
+                                  for i, o in enumerate(off)))
+            assert mirrored._covers_by_runs(kprime), (label, kprime)
+            rep = mirrored.verify_cover(kprime)
+            assert rep == _cover_from_cells(mirrored, kprime)
+
+
+@pytest.mark.parametrize("m", [5, 11])
+def test_cover_runs_match_cells_on_broken_plans(m):
+    for label in case_labels():
+        plan = build_arrangement(label, m)
+        along, across = (0, 1) if plan.delta == (1, 0) else (1, 0)
+        everything = range(len(plan.placements))
+        for kprime in range(1, 5):
+            span = plan.dims(kprime)[across]
+            broken = {
+                # one triangle moved a cell along the step axis
+                "covered twice": _moved(
+                    plan, [0], lambda mat: mat,
+                    lambda off: tuple(o + (i == along)
+                                      for i, o in enumerate(off))),
+                # the whole layout one rectangle below itself: every cell
+                # outside, none aliased back in
+                "outside": _moved(
+                    plan, everything, lambda mat: mat,
+                    lambda off: tuple(o - span * (i == across)
+                                      for i, o in enumerate(off))),
+                "covered ": _replan(plan, plan.placements[:-1]),
+            }
+            for kind, bad in broken.items():
+                assert not bad._covers_by_runs(kprime), (label, kind, kprime)
+                rep = bad.verify_cover(kprime)
+                assert rep == _cover_from_cells(bad, kprime), (label, kind, kprime)
+                assert not rep.ok and kind in rep.detail, (label, kprime, rep)
+
+
 def test_build_rejects_bad_modulus():
     with pytest.raises(ValueError):
         build_arrangement("0", 7)
@@ -372,3 +468,49 @@ def test_cycle_lengths_divisible_by_m():
                 continue
             for length in cycle_lengths(cycle_decomposition(n, m)):
                 assert length % m == 0, (n, m, length)
+
+
+@pytest.mark.parametrize("m", [5, 11, 17])
+def test_row_route_matches_step_f_walk(m):
+    for n in range(3, 400):
+        if not is_divisible(n, m):
+            continue
+        dec = cycle_decomposition(n, m)
+        members = [lam for cyc in dec.cycles for lam in cyc]
+        assert sorted(members) == sorted(enumerate_partitions(n)), (n, m)
+        for cyc in dec.cycles:
+            orbit = [cyc[0]]
+            cur = step_f(cyc[0], m)
+            while cur != cyc[0]:
+                orbit.append(cur)
+                cur = step_f(cur, m)
+            assert orbit == cyc, (n, m)
+
+
+def _row_top(n, l3):
+    half = (n - l3) // 2
+    return (n - l3 - half, half, l3)
+
+
+def _top_with_shift(n, m, t, wanted):
+    """Top of the first row whose c_ls, measured from the border of row t,
+    is (wanted is True) or is not (False) raised by one mod m."""
+    for l3 in range(1, n // 3 + 1):
+        top = _row_top(n, l3)
+        if (((top[0] - l3) - (n - 3 * t) - 1) % m == 0) == wanted:
+            return top
+    raise AssertionError("no such row")
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda n, m, t: (_row_top(n, t)[0] + 1, _row_top(n, t)[1] - 1, t),
+     "not the top"),
+    (lambda n, m, t: _top_with_shift(n, m, t, False), "does not raise c_ls"),
+    (lambda n, m, t: _top_with_shift(n, m, t, True), "one to one"),
+], ids=["not-top", "wrong-c_ls", "not-a-permutation"])
+def test_row_route_rejects_faulty_border_steps(monkeypatch, fault, message):
+    n, m = 98, 5
+    monkeypatch.setattr(cranks, "_border_step",
+                        lambda n, m, t, r, big_k: fault(n, m, t))
+    with pytest.raises(AssertionError, match=message):
+        cycle_decomposition(n, m)
