@@ -1,16 +1,18 @@
 """
-Million-partition sweeps with the numpy helpers
-===============================================
+Whole-range sweeps: array box decomposition and row-level cycles
+================================================================
 
-The scalar routines are the reference; the array versions exist so that
-exhaustive verification over large height ranges stays interactive.
+The box decomposition runs on numpy arrays of every partition of a height
+at once; the cycle structure of the stepping permutation comes from the
+row-level route, which checks the bijection with n//3 border jumps and
+writes each orbit out row by row.  The scalar routines stay the reference.
 """
 
 import time
 
-from triparts.bulk import check_box_bijection, cycle_length_multiset, step_successors
+from triparts.bulk import check_box_bijection
 from triparts.congruence import is_divisible
-from triparts.cranks import step_f
+from triparts.cranks import cycle_decomposition, cycle_lengths
 
 t0 = time.time()
 checked = sum(check_box_bijection(n) for n in range(501))
@@ -24,8 +26,7 @@ counts = {}
 for n in range(3, 301):
     if not is_divisible(n, m):
         continue
-    size, succ = step_successors(n, m, lambda lam: step_f(lam, m))
-    for length in cycle_length_multiset(succ):
+    for length in cycle_lengths(cycle_decomposition(n, m)):
         assert length % m == 0
         counts[length] = counts.get(length, 0) + 1
 print("cycle lengths seen for m=%d, n <= 300 (all multiples of %d):" % (m, m))

@@ -1,9 +1,9 @@
 """
 Drawing the triangle tiling as SVG
 ==================================
-"""
 
-import os
+Writes tiling_20.svg to the current directory.
+"""
 
 from triparts.cli import render_tiling_svg
 
@@ -13,7 +13,7 @@ from triparts.cli import render_tiling_svg
 n = 20
 svg = render_tiling_svg(n)
 
-out = os.path.join(os.path.dirname(__file__), "tiling_%d.svg" % n)
+out = "tiling_%d.svg" % n
 with open(out, "w", encoding="utf-8") as fp:
     fp.write(svg)
 

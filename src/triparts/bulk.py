@@ -1,11 +1,14 @@
 """Vectorized bulk sweeps (numpy int64).
 
-Scalar routines in the sibling modules stay the reference implementation;
-these array versions exist so the million-partition verification sweeps
-finish quickly.  Tests cross-check both routes on overlapping ranges.
+Array enumeration of P(n,3) and the box-decomposition round trip over a
+whole height at once.  ehrhart.box_decompose is plain integer arithmetic,
+so the same function serves scalars and arrays; the scalar routines in the
+sibling modules stay the reference, cross-checked in the tests.
 """
 
 import numpy as np
+
+from .ehrhart import box_decompose
 
 
 def partitions_array(n):
@@ -25,23 +28,12 @@ def partitions_array(n):
     return l1, l2, l3
 
 
-def decompose_arrays(l1, l2, l3):
-    """Vector form of the box decomposition; same floors as the scalar."""
-    t1 = (l1 - l2) // 6
-    t2 = (l2 - l3) // 3
-    t3 = (l3 + 1) // 2 - 1
-    m1 = l1 - 6 * t1 - 3 * t2 - 2 * t3
-    m2 = l2 - 3 * t2 - 2 * t3
-    m3 = l3 - 2 * t3
-    return (m1, m2, m3), (t1, t2, t3)
-
-
 def check_box_bijection(n):
     """Decompose every partition of n and verify remainder membership,
     quotient nonnegativity, the height identity and the composed
     round trip.  Returns the number of partitions checked."""
     l1, l2, l3 = partitions_array(n)
-    (m1, m2, m3), (t1, t2, t3) = decompose_arrays(l1, l2, l3)
+    (m1, m2, m3), (t1, t2, t3) = box_decompose((l1, l2, l3))
     bar1 = m1 - m2
     bar2 = m2 - m3
     ok = (t1 >= 0) & (t2 >= 0) & (t3 >= 0)
@@ -62,68 +54,3 @@ def check_box_bijection(n):
     if not bool((heights == n).all()):
         raise AssertionError("height identity failed at n=%d" % n)
     return l1.size
-
-
-def _encode(l1, l2, l3, base):
-    return (l1 * base + l2) * base + l3
-
-
-def step_successors(n, m, step_border):
-    """Successor index array of the cycling permutation on P(n,3).
-
-    Interior images are vectorized; border rows (l2 == l3) go through the
-    scalar ``step_border`` callable.  Verifies along the way that the map
-    is a bijection of P(n,3) raising c_ls by exactly one mod m.  Returns
-    (size, successor) with successor[i] = index of the image of row i in
-    the (l3, l2)-ordered enumeration.
-    """
-    l1, l2, l3 = partitions_array(n)
-    size = l1.size
-    img1 = l1 + 1
-    img2 = l2 - 1
-    img3 = l3.copy()
-    border = np.nonzero(l2 == l3)[0]
-    for i in border:
-        b1, b2, b3 = step_border((int(l1[i]), int(l2[i]), int(l3[i])))
-        img1[i] = b1
-        img2[i] = b2
-        img3[i] = b3
-    base = n + 1
-    domain = _encode(l1, l2, l3, base)
-    images = _encode(img1, img2, img3, base)
-    order = np.argsort(domain, kind="stable")
-    sorted_domain = domain[order]
-    pos = np.searchsorted(sorted_domain, images)
-    if bool((pos >= size).any()) or not bool((sorted_domain[pos] == images).all()):
-        bad = int(np.nonzero((pos >= size) | (sorted_domain[np.minimum(pos, size - 1)] != images))[0][0])
-        raise AssertionError("image %r of %r is not a partition of %d"
-                             % ((int(img1[bad]), int(img2[bad]), int(img3[bad])),
-                                (int(l1[bad]), int(l2[bad]), int(l3[bad])), n))
-    successor = order[pos]
-    if np.unique(successor).size != size:
-        raise AssertionError("step map is not a bijection at n=%d" % n)
-    shift = ((img1 - img3) - (l1 - l3) - 1) % m
-    if bool(shift.any()):
-        bad = int(np.nonzero(shift)[0][0])
-        raise AssertionError("c_ls shift is not +1 at %r"
-                             % ((int(l1[bad]), int(l2[bad]), int(l3[bad])),))
-    return size, successor
-
-
-def cycle_length_multiset(successor):
-    """Cycle lengths of a permutation given as a successor array."""
-    size = successor.size
-    seen = np.zeros(size, dtype=bool)
-    succ = successor.tolist()  # plain ints walk much faster
-    lengths = []
-    for start in range(size):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = succ[cur]
-            length += 1
-        lengths.append(length)
-    return lengths

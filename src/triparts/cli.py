@@ -17,8 +17,6 @@ import sys
 from . import __version__
 from .congruence import characterize, non_witnessed_residues
 from .cranks import (
-    arrangement_2m_minus_2,
-    build_arrangement,
     c_ls,
     c_ls_histogram,
     c_ls_histograms,
@@ -27,14 +25,12 @@ from .cranks import (
     ehrhart_crank_closed_form,
     histogram,
     is_uniform,
-    normalize_case_label,
     plan_crank,
+    plan_for,
 )
 from .ehrhart import box_compose, box_decompose, h_star, h_star_from_gf, tile_partition_triangle
 from .partitions import check_partition
-from .quasipoly import evaluate
-
-_METHODS = ("brute", "nearest", "monomial", "binomial", "circulator")
+from .quasipoly import _METHODS, evaluate
 
 
 def _print_report(command, inputs, outcome, payload):
@@ -146,14 +142,10 @@ def _crank_function(args):
     if args.crank == "cls":
         return c_ls, "cls"
     if args.crank == "closed":
-        return (lambda lam, m: ehrhart_crank_closed_form(lam, m)), "closed"
+        return ehrhart_crank_closed_form, "closed"
     if args.crank == "plan":
-        label = normalize_case_label(args.r_prime, args.m)
-        if label == "2m-2":
-            plan = arrangement_2m_minus_2(args.m)
-        else:
-            plan = build_arrangement(label, args.m)
-        return plan_crank(plan), "plan:%s" % label
+        plan = plan_for(args.r_prime, args.m)
+        return plan_crank(plan), "plan:%s" % plan.r_label
     raise ValueError("unknown crank %r" % args.crank)
 
 
@@ -203,11 +195,8 @@ def cmd_cycles(args):
 
 
 def cmd_rectangle(args):
-    label = normalize_case_label(args.r_prime, args.m)
-    if label == "2m-2":
-        plan = arrangement_2m_minus_2(args.m)
-    else:
-        plan = build_arrangement(label, args.m)
+    plan = plan_for(args.r_prime, args.m)
+    label = plan.r_label
     dims = plan.dims(args.k_prime)
     vacuous = dims[0] == 0 or dims[1] == 0
     report = plan.verify_cover(args.k_prime)
@@ -315,7 +304,7 @@ def build_parser():
 
     p = sub.add_parser("count", help="evaluate p(n,3)")
     p.add_argument("n", type=int)
-    p.add_argument("--method", choices=_METHODS + ("all",), default="all")
+    p.add_argument("--method", choices=(*_METHODS, "all"), default="all")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("decompose", help="box decomposition of a partition")

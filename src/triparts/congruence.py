@@ -55,13 +55,19 @@ def residues_neg(m):
 def sqrt_minus3(mp):
     """Both square roots of -3 modulo a prime mp with mp % 6 == 1.
 
-    Linear scan; a root always exists for this prime family.
+    3 divides mp - 1, so w = a^((mp-1)/3) is a cube root of unity, and a
+    primitive one for the first a with w != 1.  Then w^2 + w + 1 = 0 and
+    (2w + 1)^2 = -3: O(log mp) multiplications per base tried.
     """
     if not is_prime(mp) or mp % 6 != 1:
         raise ValueError("need a prime congruent to 1 mod 6, got %r" % (mp,))
-    for s in range(1, mp):
-        if (s * s + 3) % mp == 0:
-            return (s, mp - s) if s < mp - s else (mp - s, s)
+    for a in range(2, mp):
+        w = pow(a, (mp - 1) // 3, mp)
+        if w != 1:
+            s = (2 * w + 1) % mp
+            if (s * s + 3) % mp == 0:
+                return (s, mp - s) if s < mp - s else (mp - s, s)
+            break
     raise ArithmeticError("no square root of -3 modulo %d; %d is not a valid modulus" % (mp, mp))
 
 

@@ -16,7 +16,7 @@ primes m with m % 6 == 5:
 from collections import namedtuple
 from itertools import repeat
 
-from .congruence import is_prime, residues_neg
+from .congruence import residues_neg
 from .ehrhart import (
     box_compose,
     box_decompose,
@@ -30,11 +30,6 @@ from .partitions import column_multiplicities, enumerate_partitions
 # c_ls and histograms
 
 CrankHistogram = namedtuple("CrankHistogram", ["modulus", "counts"])
-
-
-def c_ls_raw(lam):
-    """Largest part minus smallest part, unreduced."""
-    return lam[0] - lam[2]
 
 
 def c_ls(lam, m):
@@ -195,8 +190,7 @@ class RectanglePlan:
 
     def __init__(self, r_label, r_value, m, ell1, ell2, k_offset,
                  placements, eta, delta):
-        if not is_prime(m) or m % 6 != 5:
-            raise ValueError("need a prime congruent to 5 mod 6, got %r" % (m,))
+        residues_neg(m)  # validates m
         if (m - 2) % 3:
             raise AssertionError("(m-2)/3 must be integral")
         self.r_label = r_label
@@ -398,8 +392,6 @@ def arrangement_2m_minus_2(m):
     x is taken mod ell1 = m(3k'+1); only the (4,3,1) family wraps.  The
     crank is x mod m and decreases by 3 along each row.
     """
-    if not is_prime(m) or m % 6 != 5:
-        raise ValueError("need a prime congruent to 5 mod 6, got %r" % (m,))
     c = (m - 2) // 3
     placements = [
         ((6, 1, 1), 1, AffineMap2(((1, 1, 2), (1, 0, 0)), (0, 0))),
@@ -549,8 +541,6 @@ def build_arrangement(r_prime, m):
     from this generic packing; both satisfy the same invariants.
     """
     label = normalize_case_label(r_prime, m)
-    if not is_prime(m) or m % 6 != 5:
-        raise ValueError("need a prime congruent to 5 mod 6, got %r" % (m,))
     c = (m - 2) // 3
     rv_am, rv_b = _CASES[label][0]
     r_value = rv_am * m + rv_b
@@ -603,6 +593,15 @@ def build_arrangement(r_prime, m):
     return RectanglePlan(label, r_value, m, ell1=ell1, ell2=ell2,
                          k_offset=k_offset, placements=placements,
                          eta=eta, delta=delta)
+
+
+def plan_for(r_prime, m):
+    """The rectangle plan for a case label or numeric r': the dedicated
+    arrangement for 2m-2, the generic packing for the other eight."""
+    label = normalize_case_label(r_prime, m)
+    if label == "2m-2":
+        return arrangement_2m_minus_2(m)
+    return build_arrangement(label, m)
 
 
 # ---------------------------------------------------------------------------

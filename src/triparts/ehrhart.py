@@ -9,7 +9,7 @@ formulas and the crank constructions in the rest of the package.
 
 from fractions import Fraction
 
-from .partitions import column_multiplicities, enumerate_partitions
+from .partitions import enumerate_partitions
 
 # Rows of the generator matrix; its columns are the generators.
 V3 = (
@@ -113,8 +113,10 @@ def box_decompose(lam):
     half-open coordinates and a shifted ceiling in the third.  Since the
     rational coordinates are (l1-l2)/6, (l2-l3)/3, l3/2, the floors reduce
     to integer division (floor of l3/2 shifted by one when l3 is even),
-    which keeps this hot path in plain int arithmetic.  The Fraction route
-    v3_solve stays available and the two are cross-checked in the tests.
+    which keeps this hot path in plain int arithmetic and lets it run
+    elementwise on numpy int64 arrays unchanged (bulk.check_box_bijection).
+    The Fraction route v3_solve stays available and the two are
+    cross-checked in the tests.
     """
     l1, l2, l3 = lam
     t1 = (l1 - l2) // 6
@@ -130,19 +132,6 @@ def box_compose(mu, tau):
         raise ValueError("tau must be nonnegative: %r" % (tau,))
     v = v3_apply(tau)
     return (mu[0] + v[0], mu[1] + v[1], mu[2] + v[2])
-
-
-def bar_decompose(lam):
-    """box_decompose in column-multiplicity coordinates.
-
-    Returns (barmu, tau) where barmu = column_multiplicities(mu).  The
-    floors act independently: bar coordinates split as b1 = 6 t1 + r1 etc.
-    """
-    b1, b2, b3 = column_multiplicities(lam)
-    t1, r1 = divmod(b1, 6)
-    t2, r2 = divmod(b2, 3)
-    t3 = (b3 + 1) // 2 - 1
-    return (r1, r2, b3 - 2 * t3), (t1, t2, t3)
 
 
 def tile_partition_triangle(n):

@@ -99,12 +99,13 @@ def p3_circulator(n: int) -> int:
     return total.numerator
 
 
+# The method registry; its order is the order the CLI lists the choices in.
 _METHODS = {
+    "brute": count_bruteforce,
     "nearest": p3_nearest,
     "monomial": p3_monomial,
     "binomial": p3_binomial,
     "circulator": p3_circulator,
-    "brute": count_bruteforce,
 }
 
 

@@ -2,15 +2,16 @@
 
 One test per shipped guarantee, in order, each printing a single pass or
 fail line under pytest -v.  Runtime ceilings are asserted where the
-guarantee carries one; sweeps use the bulk helpers where the scalar route
-would not fit the ceiling.
+guarantee carries one; sweeps use the array and row-level routes where the
+partition-by-partition route would not fit the ceiling.
 """
 
+import hashlib
 import json
 import time
 
 from triparts import cli
-from triparts.bulk import check_box_bijection, cycle_length_multiset, step_successors
+from triparts.bulk import check_box_bijection
 from triparts.congruence import is_divisible, residues_pos, verify_characterization
 from triparts.cranks import (
     arrangement_2m_minus_2,
@@ -27,7 +28,6 @@ from triparts.cranks import (
     permutation_cycles,
     plan_crank,
     row_permutation,
-    step_f,
 )
 from triparts.ehrhart import (
     box_compose,
@@ -115,11 +115,13 @@ def test_06_cycling_permutation():
         for n in range(3, 1001):
             if not is_divisible(n, m):
                 continue
-            # bijection and +1 crank shift are asserted inside
-            size, succ = step_successors(n, m, lambda lam: step_f(lam, m))
-            assert size == count_bruteforce(n)
-            assert all(length % m == 0 for length in cycle_length_multiset(succ))
-    assert time.monotonic() - start < 120.0
+            # row_permutation asserts that step_f is a bijection of P(n,3)
+            # raising c_ls by one; each cycle is a union of whole rows
+            lengths = [sum((n - t) // 2 - t + 1 for t in row_cycle)
+                       for row_cycle in permutation_cycles(row_permutation(n, m))]
+            assert sum(lengths) == count_bruteforce(n)
+            assert all(length % m == 0 for length in lengths)
+    assert time.monotonic() - start < 5.0
 
 
 def test_07_rectangle_crank_2m_minus_2():
@@ -218,3 +220,14 @@ def test_12_crank_exports_from_rows(capsys):
     assert payload["cover_ok"] is True
     assert payload["cells"] == payload["width"] * payload["height"]
     assert elapsed < 0.2, elapsed
+
+
+def test_13_residues_in_log_time(capsys):
+    start = time.monotonic()
+    code = cli.main(["residues", "1000000009"])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "b76d7d06341a5a85e1420cf53ea641e8248274624c25fbecb1f0dfb1e7ce5733")
+    assert elapsed < 1.0, elapsed

@@ -1,16 +1,4 @@
-from collections import Counter
-
-import numpy as np
-
-from triparts.bulk import (
-    check_box_bijection,
-    cycle_length_multiset,
-    decompose_arrays,
-    partitions_array,
-    step_successors,
-)
-from triparts.congruence import is_divisible
-from triparts.cranks import cycle_decomposition, cycle_lengths, step_f
+from triparts.bulk import check_box_bijection, partitions_array
 from triparts.ehrhart import box_decompose
 from triparts.partitions import count_bruteforce, enumerate_partitions
 
@@ -29,10 +17,11 @@ def test_partitions_array_ordering():
     assert keys == sorted(keys)
 
 
-def test_decompose_arrays_matches_scalar():
-    for n in (19, 20, 57, 100):
+def test_box_decompose_on_arrays_matches_scalar():
+    for n in (0, 2, 3, 19, 20, 57, 100):
         l1, l2, l3 = partitions_array(n)
-        (m1, m2, m3), (t1, t2, t3) = decompose_arrays(l1, l2, l3)
+        (m1, m2, m3), (t1, t2, t3) = box_decompose((l1, l2, l3))
+        assert m1.dtype == t3.dtype == l1.dtype
         for i in range(l1.size):
             lam = (int(l1[i]), int(l2[i]), int(l3[i]))
             mu, tau = box_decompose(lam)
@@ -45,39 +34,3 @@ def test_check_box_bijection_counts():
     assert check_box_bijection(20) == 33
     total = sum(check_box_bijection(n) for n in range(200))
     assert total == sum(count_bruteforce(n) for n in range(200))
-
-
-def test_step_successors_matches_scalar_cycles():
-    for n, m in ((22, 5), (38, 5), (68, 5), (64, 11)):
-        size, succ = step_successors(n, m, lambda lam: step_f(lam, m))
-        assert size == count_bruteforce(n)
-        bulk_lengths = sorted(cycle_length_multiset(succ))
-        assert bulk_lengths == cycle_lengths(cycle_decomposition(n, m))
-
-
-def test_step_successors_traces_scalar_map():
-    n, m = 38, 5
-    l1, l2, l3 = partitions_array(n)
-    _, succ = step_successors(n, m, lambda lam: step_f(lam, m))
-    parts = list(zip(l1.tolist(), l2.tolist(), l3.tolist()))
-    for i, lam in enumerate(parts):
-        assert parts[int(succ[i])] == step_f(lam, m)
-
-
-def test_cycle_length_multiset_simple():
-    # permutation (0 1 2)(3 4) as a successor array
-    succ = np.array([1, 2, 0, 4, 3], dtype=np.int64)
-    assert sorted(cycle_length_multiset(succ)) == [2, 3]
-
-
-def test_cycle_lengths_divisible_in_bulk():
-    for m in (5, 11):
-        hits = 0
-        for n in range(3, 400):
-            if not is_divisible(n, m):
-                continue
-            hits += 1
-            _, succ = step_successors(n, m, lambda lam: step_f(lam, m))
-            multiset = Counter(cycle_length_multiset(succ))
-            assert all(length % m == 0 for length in multiset)
-        assert hits > 0

@@ -288,9 +288,34 @@ def test_malformed_invocation_exits_2(capsys):
     assert exc.value.code == 2
 
 
-# sha256 of stdout recorded before cycles and rectangle covers moved to
-# row-level routes; any byte of difference fails here.
+# sha256 of stdout, recorded before each refactor of the routes behind
+# these commands (row-level cycles and covers; the single plan factory and
+# method registry); any byte of difference fails here.
 GOLDEN_STDOUT = [
+    (("count", "22"),
+     "cbeebfa8d47f032da1b7f82005ba027d94716c90570e0d55ce331cb8d1d5dae0"),
+    (("decompose", "13", "4", "3"),
+     "9493c8cebfb0217af4d98b9edfe7e68f4176f0c296fc4d39ba677a8a2214662d"),
+    (("hstar",),
+     "ceec3eafa3dc17fb7f52c91e48cd4127124e8b8758a6d3fffc8a5cd5e6bb3b30"),
+    (("residues", "11"),
+     "f811f250d36a96ce5a4f6f9d39d08c4c509c6ba9dca640c300ada6f2e50aca4d"),
+    (("residues", "13"),
+     "db63712d65c3f4eb6f183d03da443608a654d00dcc27f26ba55bf4dc79ee7d10"),
+    (("verify", "5", "--max-n", "600"),
+     "2fd1f615769e3a7017d20979bd423ef48c6e17c1eae826dad0130ababf9b920a"),
+    (("verify", "7", "--max-n", "300"),
+     "0a58afbccea20637e8ee3b6e4cca158cc61549e76f7d9381301c836b4e0246c1"),
+    (("histogram", "22", "5"),
+     "cd9097f03e617dcc07abef6cc82bcd5fc2e306e6cf8276e6e86aefac47a09584"),
+    (("histogram", "22", "5", "--fast"),
+     "cd9097f03e617dcc07abef6cc82bcd5fc2e306e6cf8276e6e86aefac47a09584"),
+    (("histogram", "38", "5", "--crank", "plan"),
+     "9a3b1a1342764905d5f43511b5e35f9388121875ab270c0174eadd6746b9bdc5"),
+    (("histogram", "60", "5", "--crank", "plan", "--r-prime", "0"),
+     "c4974ffc3423d1e7a1641960d869721869a752228c3c223823b0c5476df40ebc"),
+    (("histogram", "998", "83", "--crank", "closed"),
+     "00d11e88d16962f889dc05a624ca4e154ad9a55cf53830c7e4e07f842a5ec730"),
     (("cycles", "38", "5", "--format", "csv"),
      "b2613a6543e9005ec29964300e7a0bce036ed54d3fd157e562dcd0d12ce8b5b3"),
     (("cycles", "38", "5"),
@@ -329,3 +354,20 @@ def test_golden_cells_csv(tmp_path, capsys):
         "5bd24f29483072d7217877f5e876603d823b6b7ec02076b92454c75bef478a42")
     assert hashlib.sha256(target.read_bytes()).hexdigest() == (
         "19b2307eed700eb5765d7a91897eaaae10cf984133014de4cb35f8443faeaa89")
+
+
+def test_golden_count_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "243fc7b2ec3a1f4bd9f5c424b906e4fc55360d68135b17ea194bb54934599e80")
+
+
+def test_golden_tile_svg(tmp_path, capsys):
+    target = tmp_path / "tile.svg"
+    code, out, _ = run(capsys, "tile", "20", str(target))
+    assert code == 0 and out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "932c571721cdd116ee488e84823151d2362e17e1e9389a0657b57fd5243129b3")

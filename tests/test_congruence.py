@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from triparts import congruence
 from triparts.congruence import (
     characterize,
     is_divisible,
@@ -41,6 +42,28 @@ def test_sqrt_minus3_pins():
         assert (t * t + 3) % m == 0
         assert (s + t) % m == 0
         assert s < t
+
+
+def _sqrt_minus3_by_scan(p):
+    for s in range(1, p):
+        if (s * s + 3) % p == 0:
+            return (s, p - s) if s < p - s else (p - s, s)
+    return None
+
+
+def test_sqrt_minus3_matches_linear_scan():
+    primes = [p for p in range(7, 6000, 6) if is_prime(p)]
+    assert len(primes) > 350
+    for p in primes:
+        assert sqrt_minus3(p) == _sqrt_minus3_by_scan(p), p
+
+
+def test_sqrt_minus3_rejects_a_root_that_fails_to_check(monkeypatch):
+    # for the composite 25, 2^((25-1)/3) = 6 is no cube root of unity and
+    # 2*6+1 = 13 does not square to -3
+    monkeypatch.setattr(congruence, "is_prime", lambda m: True)
+    with pytest.raises(ArithmeticError):
+        sqrt_minus3(25)
 
 
 def test_negation_closure():

@@ -21,6 +21,7 @@ from triparts.cranks import (
     normalize_case_label,
     permutation_cycles,
     plan_crank,
+    plan_for,
     rectangle_cycle_step,
     row_permutation,
     step_deltas,
@@ -401,6 +402,28 @@ def test_plan_constructor_validation():
     with pytest.raises(ValueError):
         RectanglePlan("2m-2", 8, 5, (15, 5), (5, 1), 1,
                       [((6, 1, 1), 1, mp)], (1, 0, 0), (1, 1))
+
+
+def test_plan_for_dispatches_on_label():
+    for m in (5, 11):
+        for r_prime in ("2m-2", 2 * m - 2, " 2m-2"):
+            plan = plan_for(r_prime, m)
+            assert plan.r_label == "2m-2"
+            assert plan.placements == arrangement_2m_minus_2(m).placements
+        for label in case_labels():
+            if label == "2m-2":
+                continue
+            plan = plan_for(label, m)
+            assert plan.r_label == label
+            assert plan.placements == build_arrangement(label, m).placements
+    assert plan_for(-1, 5).r_label == "-1"
+    for bad in (7, 9, 35, 4):
+        with pytest.raises(ValueError, match="need a prime congruent to 5 mod 6"):
+            plan_for("0", bad)
+        with pytest.raises(ValueError, match="need a prime congruent to 5 mod 6"):
+            plan_for("2m-2", bad)
+    with pytest.raises(ValueError, match="unknown case label"):
+        plan_for("junk", 7)
 
 
 def test_kprime_for_rejects_off_progression():

@@ -8,7 +8,6 @@ from triparts.ehrhart import (
     V3,
     box_compose,
     box_decompose,
-    bar_decompose,
     fundamental_points,
     h_star,
     h_star_from_gf,
@@ -103,15 +102,6 @@ def test_box_roundtrip(n):
         assert min(tau) >= 0
         assert sum(mu) + 6 * sum(tau) == n
         assert box_compose(mu, tau) == lam
-
-
-def test_bar_decompose_consistent():
-    for n in range(3, 60):
-        for lam in enumerate_partitions(n):
-            mu, tau = box_decompose(lam)
-            barmu, tau2 = bar_decompose(lam)
-            assert tau2 == tau
-            assert barmu == (mu[0] - mu[1], mu[1] - mu[2], mu[2])
 
 
 def test_box_compose_rejects_negative_quotient():
