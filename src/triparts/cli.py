@@ -10,6 +10,7 @@ error.  All output is deterministic for identical inputs.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -39,16 +40,29 @@ def _print_report(command, inputs, outcome, payload):
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+# The brute counter is O(n): about half a second at this height.
+_BRUTE_MAX_N = 10 ** 7
+
+
 def cmd_count(args):
     if args.n < 0:
         raise ValueError("n must be non-negative, got %d" % args.n)
+    brute_ok = args.n <= _BRUTE_MAX_N
     if args.method == "all":
-        values = {name: evaluate(args.n, name).value for name in _METHODS}
+        values = {name: evaluate(args.n, name).value for name in _METHODS
+                  if brute_ok or name != "brute"}
         consistent = len(set(values.values())) == 1
         outcome = "success" if consistent else "failure"
+        payload = {"values": values, "consistent": consistent}
+        if not brute_ok:
+            payload["notes"] = ["brute skipped: it is O(n) and runs only "
+                                "for n <= %d" % _BRUTE_MAX_N]
         _print_report("count", {"n": args.n, "method": "all"}, outcome,
-                      {"values": values, "consistent": consistent})
+                      payload)
         return 0 if consistent else 1
+    if args.method == "brute" and not brute_ok:
+        raise ValueError("--method brute is O(n) and runs only for "
+                         "n <= %d, got %d" % (_BRUTE_MAX_N, args.n))
     value = evaluate(args.n, args.method).value
     _print_report("count", {"n": args.n, "method": args.method}, "success",
                   {"value": value})
@@ -197,6 +211,10 @@ def cmd_cycles(args):
 def cmd_rectangle(args):
     plan = plan_for(args.r_prime, args.m)
     label = plan.r_label
+    n = plan.n_for(args.k_prime)
+    if n < 0:
+        raise ValueError("height n = 6mk'+r' must be non-negative, got %d"
+                         % n)
     dims = plan.dims(args.k_prime)
     vacuous = dims[0] == 0 or dims[1] == 0
     report = plan.verify_cover(args.k_prime)
@@ -204,7 +222,7 @@ def cmd_rectangle(args):
         "r_prime": label,
         "m": args.m,
         "k_prime": args.k_prime,
-        "n": plan.n_for(args.k_prime),
+        "n": n,
         "width": dims[0],
         "height": dims[1],
         "vacuous": vacuous,
@@ -294,7 +312,13 @@ def cmd_tile(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves it unchanged: no argument has a mutable default, and
+    argparse makes each help formatter when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="triparts",
         description="partitions into three parts: counting, box decomposition, "
@@ -368,6 +392,11 @@ def main(argv=None):
         return args.fn(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as exc:
+        # sizes beyond what this machine can allocate or index
+        print("error: input too large: %s" % (str(exc) or "out of memory"),
+              file=sys.stderr)
         return 2
 
 

@@ -17,17 +17,37 @@ ResidueCharacterization = namedtuple(
 VerifyReport = namedtuple("VerifyReport", ["ok", "first_mismatch", "checked"])
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below the
+# smallest strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(m):
-    """Trial-division primality; fine for the desk-scale moduli used here."""
+    """Deterministic Miller-Rabin primality, O(log m) multiplications per
+    base.  Raises ValueError for m >= 3317044064679887385961981, where the
+    fixed bases are no longer proven."""
+    if m >= _MR_LIMIT:
+        raise ValueError("primality is decided only below %d, got %d"
+                         % (_MR_LIMIT, m))
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -231,3 +231,21 @@ def test_13_residues_in_log_time(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "b76d7d06341a5a85e1420cf53ea641e8248274624c25fbecb1f0dfb1e7ce5733")
     assert elapsed < 1.0, elapsed
+
+
+def test_14_small_queries_cost_the_query(capsys):
+    start = time.monotonic()
+    code = cli.main(["residues", "1000000000000000003"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert code == 0
+    assert payload["family"] == "plus_one"
+    assert elapsed < 1.0, elapsed
+    cli.main(["residues", "11"])
+    first = capsys.readouterr().out
+    start = time.monotonic()
+    for _ in range(1000):
+        cli.main(["residues", "11"])
+    elapsed = time.monotonic() - start
+    assert capsys.readouterr().out == first * 1000
+    assert elapsed < 1.0, elapsed

@@ -64,6 +64,20 @@ def test_count_negative_is_input_error(capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_count_caps_the_brute_counter(capsys):
+    code, out, _ = run(capsys, "count", "10000000000000000000000")
+    assert code == 0
+    doc = check_schema(out)
+    values = doc["payload"]["values"]
+    assert "brute" not in values
+    assert set(values.values()) == {(10 ** 44 + 6) // 12}
+    assert doc["payload"]["consistent"] is True
+    assert "brute skipped" in doc["payload"]["notes"][0]
+    code, out, err = run(capsys, "count", "10000001", "--method", "brute")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_hstar_report(capsys):
     code, out, _ = run(capsys, "hstar")
     assert code == 0
@@ -229,6 +243,15 @@ def test_rectangle_vacuous(capsys):
     assert doc["payload"]["cells"] == 0
 
 
+@pytest.mark.parametrize("argv", [("5", "-1", "0"), ("5", "0", "--", "-1"),
+                                  ("11", "-3", "2m+1")])
+def test_rectangle_rejects_negative_height(capsys, argv):
+    code, out, err = run(capsys, "rectangle", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "non-negative" in err
+    assert err.count("\n") == 1
+
+
 def test_rectangle_cells_csv(tmp_path, capsys):
     target = tmp_path / "cells.csv"
     code, _, _ = run(capsys, "rectangle", "5", "0", "2m-2",
@@ -272,6 +295,21 @@ def test_unwritable_paths_are_input_errors(tmp_path, capsys):
         assert code == 2, argv
         assert err.startswith("error: cannot write "), argv
         assert err.count("\n") == 1 and err.endswith("\n"), argv
+
+
+# Each size needs far more address space than any machine has, so the
+# allocation fails when requested and never starts.
+@pytest.mark.parametrize("argv", [
+    ("histogram", "10", "1000000000000000", "--fast"),
+    ("histogram", "10", "1000000000000000"),
+    ("histogram", "10", "100000000000000000000", "--fast"),
+    ("rectangle", "5", "100000000", "0"),
+])
+def test_oversized_inputs_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: input too large")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_version_flag(capsys):
@@ -343,6 +381,28 @@ def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert _sha256(out) == digest
+
+
+def test_repeated_calls_give_the_same_bytes(capsys):
+    # the parser is built once per process and shared by every call
+    argvs = [argv for argv, _ in GOLDEN_STDOUT[:9]]
+    first = [run(capsys, *argv) for argv in argvs]
+    with pytest.raises(SystemExit) as exc:
+        main(["histogram", "22"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "count", "-4")
+    assert code == 2 and out == ""
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in argvs] == first
+
+
+def test_golden_count_help_after_other_calls(capsys, monkeypatch):
+    run(capsys, "count", "22")
+    with pytest.raises(SystemExit):
+        main(["count", "--method", "none", "5"])
+    capsys.readouterr()
+    test_golden_count_help(capsys, monkeypatch)
 
 
 def test_golden_cells_csv(tmp_path, capsys):

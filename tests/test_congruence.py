@@ -132,9 +132,42 @@ def test_characterization_is_exact_mod7(n):
     assert (p3_monomial(n) % 7 == 0) == (n % ch.period in ch.residues)
 
 
+def _trial_division(m):
+    if m < 2:
+        return False
+    if m % 2 == 0:
+        return m == 2
+    d = 3
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 2
+    return True
+
+
 def test_is_prime_helper():
     assert [p for p in range(2, 40) if is_prime(p)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
     ]
     assert not is_prime(1)
     assert not is_prime(0)
+    for m in range(-3, 10 ** 5):
+        assert is_prime(m) == _trial_division(m), m
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the bases 2..7 and 2..37: composite
+    assert not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(561)  # Carmichael
+    assert is_prime(1000000000000000003)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(1000000007 * 1000000009)
+
+
+def test_is_prime_refuses_beyond_its_proven_bound():
+    limit = 3317044064679887385961981
+    with pytest.raises(ValueError):
+        is_prime(limit)
+    with pytest.raises(ValueError):
+        characterize(limit * 6 + 5)

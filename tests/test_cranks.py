@@ -56,9 +56,17 @@ def test_histogram_totals():
 
 
 def test_fast_histogram_matches_enumeration():
-    for m in (5, 7, 11):
-        for n in range(0, 250):
-            assert c_ls_histogram(n, m) == histogram(n, m, c_ls)
+    # m < 3 are the degenerate classes; runs wrap for m = 97, and m = 500
+    # exceeds every difference
+    for m in (1, 2, 3, 5, 7, 11, 97, 500):
+        for n in range(0, 400):
+            assert c_ls_histogram(n, m) == histogram(n, m, c_ls), (n, m)
+
+
+def test_row_histogram_rejects_bad_modulus():
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            c_ls_histogram(10, m)
 
 
 @pytest.mark.parametrize("m", [5, 7, 11, 13, 97])
