@@ -1,22 +1,27 @@
 """
-Whole-range sweeps: array box decomposition and row-level cycles
-================================================================
+Whole-range sweeps: the box bijection and the cycles, by rows
+=============================================================
 
-The box decomposition runs on numpy arrays of every partition of a height
-at once; the cycle structure of the stepping permutation comes from the
-row-level route, which checks the bijection with n//3 border jumps and
-writes each orbit out row by row.  The scalar routines stay the reference.
+Both sweeps work on whole rows of P(n,3) instead of single partitions.
+The box bijection lam = mu + V3 tau is checked at the two ends of each
+row class (fixed smallest part, middle part stepping by 3), along which
+mu stays fixed and tau moves by (-1, +1, 0).  The cycle structure of the
+stepping permutation comes from the row-level route, which checks the
+bijection with n//3 border jumps and writes each orbit out row by row.
+The scalar routines stay the reference.
 """
 
 import time
 
-from triparts.bulk import check_box_bijection
 from triparts.congruence import is_divisible
 from triparts.cranks import cycle_decomposition, cycle_lengths
+from triparts.ehrhart import check_box_bijection
+from triparts.partitions import count_bruteforce
 
 t0 = time.time()
 checked = sum(check_box_bijection(n) for n in range(501))
-print("box decomposition round-trips verified for %d partitions in %.2fs"
+assert checked == sum(count_bruteforce(n) for n in range(501))
+print("box decomposition verified for all %d partitions with n <= 500 in %.2fs"
       % (checked, time.time() - t0))
 
 # cycle structure of the stepping permutation over a whole height range

@@ -5,7 +5,9 @@ cycles, rectangle, tile.  JSON goes to stdout wrapped in a fixed report
 envelope (documented in docs/cli-schema.json); `decompose` emits the bare
 {"mu": ..., "tau": ...} object.  CSV uses CRLF line endings with fixed
 column orders.  Exit codes: 0 success, 1 verification failure, 2 input
-error.  All output is deterministic for identical inputs.
+error or a stdout closed before all output was written (one `error:` line
+on stderr, no traceback).  All output is deterministic for identical
+inputs.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from . import __version__
@@ -152,25 +155,18 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def _crank_function(args):
-    if args.crank == "cls":
-        return c_ls, "cls"
-    if args.crank == "closed":
-        return ehrhart_crank_closed_form, "closed"
-    if args.crank == "plan":
-        plan = plan_for(args.r_prime, args.m)
-        return plan_crank(plan), "plan:%s" % plan.r_label
-    raise ValueError("unknown crank %r" % args.crank)
-
-
 def cmd_histogram(args):
     if args.m <= 0:
         raise ValueError("m must be positive, got %d" % args.m)
-    crank, tag = _crank_function(args)
-    if tag == "cls" and args.fast:
-        hist = c_ls_histogram(args.n, args.m)
+    if args.crank == "cls":
+        hist, tag = c_ls_histogram(args.n, args.m), "cls"
+    elif args.crank == "closed":
+        hist = histogram(args.n, args.m, ehrhart_crank_closed_form)
+        tag = "closed"
     else:
-        hist = histogram(args.n, args.m, crank)
+        plan = plan_for(args.r_prime, args.m)
+        hist = histogram(args.n, args.m, plan_crank(plan))
+        tag = "plan:%s" % plan.r_label
     uniform = is_uniform(hist)
     _print_report("histogram",
                   {"n": args.n, "m": args.m, "crank": tag},
@@ -357,7 +353,8 @@ def build_parser():
                    help="progression label for --crank plan (e.g. %s)"
                         % ", ".join(case_labels()))
     p.add_argument("--fast", action="store_true",
-                   help="use the counting route instead of enumeration (cls only)")
+                   help="accepted and ignored: cls always counts by rows, "
+                        "the other cranks enumerate")
     p.add_argument("--expect-uniform", action="store_true",
                    help="exit 1 if the histogram is not uniform")
     p.set_defaults(fn=cmd_histogram)
@@ -389,7 +386,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the exit-time flush to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before all output was written",
+              file=sys.stderr)
+        return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -473,20 +473,30 @@ def rectangle_cycle_step(plan, lam):
 #   "vrect"  two copies of T_a transposed, covering (a+1) columns, rows 0..a+1
 # Each case lays three blocks left to right; triangle sizes are k minus the
 # listed size offset.  Vertical-axis cases read the crank off y, horizontal
-# ones off x; in both the step-axis dimension is m * (integer).
+# ones off x; in both the step-axis dimension is m * (integer).  Every column
+# but the last two is a pair (a, b): r' = a*m + b, k_offset = a*c + b with
+# c = (m-2)/3, and the constant terms of ell1 = 3m k' + (a*m + b) and
+# ell2 = m k' + (a*c + b).
 _CASES = {
-    # label: (r_value coeffs (am, b) meaning a*m + b, k_offset coeffs,
-    #         ell1 const coeffs, ell2 const coeffs, axis, blocks)
+    # label: (r', k_offset, ell1 constant, ell2 constant, axis, blocks)
     "0": ((0, 0), (0, 0), (0, 0), (0, 0), "y", (("sq", 1), ("sq", 1), ("sq", 1))),
     "1": ((0, 1), (0, 0), (0, 1), (0, 0), "y", (("hrect", 1), ("sq", 1), ("sq", 1))),
     "2": ((0, 2), (0, 0), (0, 2), (0, 0), "y", (("sq", 1), ("hrect", 1), ("hrect", 1))),
     "-1": ((0, -1), (0, -1), (0, -1), (0, 0), "y", (("hrect", 0), ("vrect", 1), ("vrect", 1))),
     "-2": ((0, -2), (0, -1), (0, -2), (0, 0), "y", (("sq", 0), ("vrect", 1), ("vrect", 1))),
-    "2m-2": ((2, -2), None, (1, 0), None, "x", (("sq", 1), ("hrect", 1), ("hrect", 1))),
-    "2m+1": ((2, 1), None, (1, 0), None, "x", (("hrect", 0), ("vrect", 1), ("vrect", 1))),
-    "-(2m-2)": ((-2, 2), None, (-1, 0), None, "x", (("sq", 0), ("vrect", 1), ("vrect", 1))),
-    "-(2m+1)": ((-2, -1), None, (-1, 0), None, "x", (("hrect", 1), ("sq", 1), ("sq", 1))),
+    "2m-2": ((2, -2), (1, 0), (1, 0), (1, 0), "x", (("sq", 1), ("hrect", 1), ("hrect", 1))),
+    "2m+1": ((2, 1), (1, 0), (1, 0), (1, 1), "x", (("hrect", 0), ("vrect", 1), ("vrect", 1))),
+    "-(2m-2)": ((-2, 2), (-1, -1), (-1, 0), (-1, 0), "x", (("sq", 0), ("vrect", 1), ("vrect", 1))),
+    "-(2m+1)": ((-2, -1), (-1, -1), (-1, 0), (-1, -1), "x", (("hrect", 1), ("sq", 1), ("sq", 1))),
 }
+
+# (eta, delta) for the crank read off each axis
+_AXES = {"x": ((1, 0, 0), (1, 0)), "y": ((0, 1, 0), (0, 1))}
+
+
+def _r_values(m):
+    """The nine signed residues r' for modulus m, by label, in table order."""
+    return {label: a * m + b for label, ((a, b), *_) in _CASES.items()}
 
 
 def case_labels():
@@ -508,9 +518,8 @@ def normalize_case_label(r_prime, m=None):
         value = int(r_prime)
     if m is None:
         raise ValueError("numeric r'=%r needs m to resolve a label" % (r_prime,))
-    for label, row in _CASES.items():
-        am, b = row[0]
-        if value == am * m + b:
+    for label, r in _r_values(m).items():
+        if value == r:
             return label
     raise ValueError("r'=%r is not one of the nine cases for m=%d" % (r_prime, m))
 
@@ -556,36 +565,12 @@ def build_arrangement(r_prime, m):
     """
     label = normalize_case_label(r_prime, m)
     c = (m - 2) // 3
-    rv_am, rv_b = _CASES[label][0]
-    r_value = rv_am * m + rv_b
-    koff_coeffs = _CASES[label][1]
-    axis = _CASES[label][4]
-    blocks = _CASES[label][5]
-    if koff_coeffs is not None:
-        k_offset = koff_coeffs[0] * c + koff_coeffs[1]
-    elif rv_am == 2:
-        k_offset = c
-    else:
-        k_offset = -(c + 1)
-    # rectangle dimensions, affine in k'
-    if axis == "y":
-        ell1 = (3 * m, _CASES[label][2][1])
-        ell2 = (m, 0)
-        eta = (0, 1, 0)
-        delta = (0, 1)
-    else:
-        sgn = 1 if rv_am > 0 else -1
-        ell1 = (3 * m, sgn * m)
-        if label == "2m-2":
-            ell2 = (m, c)
-        elif label == "2m+1":
-            ell2 = (m, c + 1)
-        elif label == "-(2m-2)":
-            ell2 = (m, -c)
-        else:  # -(2m+1)
-            ell2 = (m, -c - 1)
-        eta = (1, 0, 0)
-        delta = (1, 0)
+    _, koff, const1, const2, axis, blocks = _CASES[label]
+    r_value = _r_values(m)[label]
+    k_offset = koff[0] * c + koff[1]
+    ell1 = (3 * m, const1[0] * m + const1[1])
+    ell2 = (m, const2[0] * c + const2[1])
+    eta, delta = _AXES[axis]
     # remainder pools by height class: n mod 6 fixes the residue r, classes
     # r, r+6, r+12 ride triangles of sizes k, k-1, k-2
     r = r_value % 6
@@ -627,8 +612,8 @@ CycleDecomposition = namedtuple("CycleDecomposition", ["cycles"])
 def _signed_residue(n, m):
     """Signed representative r' of n mod 6m among the nine divisible
     classes 0, +-1, +-2, +-(2m-2), +-(2m+1); raises if n does not qualify."""
-    residues_neg(m)  # validates m
-    for r in (0, 1, 2, -1, -2, 2 * m - 2, -(2 * m - 2), 2 * m + 1, -(2 * m + 1)):
+    residues_neg(m)  # validates m; the nine r' are then distinct mod 6m
+    for r in _r_values(m).values():
         if (n - r) % (6 * m) == 0:
             return r
     raise ValueError("height %d does not qualify for modulus %d" % (n, m))

@@ -113,10 +113,9 @@ def box_decompose(lam):
     half-open coordinates and a shifted ceiling in the third.  Since the
     rational coordinates are (l1-l2)/6, (l2-l3)/3, l3/2, the floors reduce
     to integer division (floor of l3/2 shifted by one when l3 is even),
-    which keeps this hot path in plain int arithmetic and lets it run
-    elementwise on numpy int64 arrays unchanged (bulk.check_box_bijection).
-    The Fraction route v3_solve stays available and the two are
-    cross-checked in the tests.
+    which keeps this hot path in plain int arithmetic.  The Fraction
+    route v3_solve stays available and the two are cross-checked in the
+    tests.
     """
     l1, l2, l3 = lam
     t1 = (l1 - l2) // 6
@@ -132,6 +131,47 @@ def box_compose(mu, tau):
         raise ValueError("tau must be nonnegative: %r" % (tau,))
     v = v3_apply(tau)
     return (mu[0] + v[0], mu[1] + v[1], mu[2] + v[2])
+
+
+def check_box_bijection(n):
+    """Check the box decomposition on every partition of n by row classes.
+
+    A row class holds the partitions (n-t-l2, l2, t) with a fixed smallest
+    part t and a fixed l2 mod 3, l2 stepping by 3; every partition lies in
+    exactly one class.  A step moves lam by (-3, 3, 0) = V3 (-1, 1, 0):
+    l1-l2 drops by 6 and l2-l3 rises by 3, so mu stays fixed and tau moves
+    by (-1, +1, 0).  At both ends of each class this asserts mu in F3, the
+    same mu at both ends, tau >= 0, tau_last - tau_first = steps (-1, 1, 0)
+    and the round trip box_compose(mu, tau) == lam.
+
+    That covers every member: box_compose is affine in tau, so the j-th
+    member is mu + V3 (tau_first + j (-1, 1, 0)); along the class t1 only
+    falls and t2 only rises (t3 is fixed), so every member has
+    t1 >= t1_last >= 0 and t2 >= t2_first >= 0; and F3 holds one point
+    of each coset of the lattice V3 Z^3, so that is the unique
+    decomposition.  Returns the number of partitions the classes cover.
+    """
+    box = {mu for pts in fundamental_points().values() for mu in pts}
+    covered = 0
+    for t in range(1, n // 3 + 1):
+        top = (n - t) // 2  # largest middle part in row t
+        for first in range(t, min(t + 2, top) + 1):
+            steps = (top - first) // 3
+            ends = []
+            for l2 in (first, first + 3 * steps):
+                lam = (n - t - l2, l2, t)
+                mu, tau = box_decompose(lam)
+                if min(tau) < 0 or box_compose(mu, tau) != lam:
+                    raise AssertionError("box decomposition failed at %r"
+                                         % (lam,))
+                ends.append((mu, tau))
+            (mu, tau), (mu_last, tau_last) = ends
+            if (mu not in box or mu_last != mu
+                    or tau_last != (tau[0] - steps, tau[1] + steps, tau[2])):
+                raise AssertionError("box decomposition failed on the row "
+                                     "class of %r" % (lam,))
+            covered += steps + 1
+    return covered
 
 
 def tile_partition_triangle(n):

@@ -2,8 +2,9 @@
 
 One test per shipped guarantee, in order, each printing a single pass or
 fail line under pytest -v.  Runtime ceilings are asserted where the
-guarantee carries one; sweeps use the array and row-level routes where the
-partition-by-partition route would not fit the ceiling.
+guarantee carries one; sweeps use the row-level routes where the
+partition-by-partition route would not fit the ceiling, and keep a
+per-partition sweep on an overlapping smaller range.
 """
 
 import hashlib
@@ -11,7 +12,6 @@ import json
 import time
 
 from triparts import cli
-from triparts.bulk import check_box_bijection
 from triparts.congruence import is_divisible, residues_pos, verify_characterization
 from triparts.cranks import (
     arrangement_2m_minus_2,
@@ -32,6 +32,7 @@ from triparts.cranks import (
 from triparts.ehrhart import (
     box_compose,
     box_decompose,
+    check_box_bijection,
     fundamental_points,
     h_star,
     h_star_from_gf,
@@ -67,16 +68,17 @@ def test_02_four_evaluators_agree():
 
 def test_03_box_bijection_to_1000():
     start = time.monotonic()
-    total = 0
-    for n in range(0, 1001):
-        total += check_box_bijection(n)
+    # every partition with n <= 1000, by row classes (ends of each class)
+    total = sum(check_box_bijection(n) for n in range(1001))
     assert total == sum(count_bruteforce(n) for n in range(1001))
-    # scalar spot checks against the vector route
-    for n in (20, 217, 1000):
-        for lam in enumerate_partitions(n)[::37]:
+    # every partition with n <= 200, one at a time
+    box = {mu for pts in fundamental_points().values() for mu in pts}
+    for n in range(201):
+        for lam in enumerate_partitions(n):
             mu, tau = box_decompose(lam)
+            assert mu in box and min(tau) >= 0, lam
             assert box_compose(mu, tau) == lam
-    assert time.monotonic() - start < 120.0
+    assert time.monotonic() - start < 30.0
 
 
 def test_04_divisibility_characterizations():

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
 from triparts.cli import main, render_tiling_svg
+from triparts.cranks import c_ls, histogram
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "docs", "cli-schema.json")
@@ -170,9 +173,39 @@ def test_histogram_rejects_nonpositive_modulus(capsys, m, fast):
 
 
 def test_histogram_fast_matches_enumeration(capsys):
-    _, slow, _ = run(capsys, "histogram", "151", "5")
-    _, fast, _ = run(capsys, "histogram", "151", "5", "--fast")
-    assert json.loads(slow)["payload"] == json.loads(fast)["payload"]
+    # the CLI counts c_ls by rows; enumeration is the library reference
+    ref = histogram(151, 5, c_ls).counts
+    for fast in ([], ["--fast"]):
+        _, out, _ = run(capsys, "histogram", "151", "5", *fast)
+        assert json.loads(out)["payload"] == {
+            "counts": list(ref), "uniform": len(set(ref)) == 1,
+            "total": sum(ref)}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["count", "10"],
+                                  ["rectangle", "5", "3", "--", "-1"]])
+def test_closed_stdout_is_an_input_error(argv, unbuffered):
+    # the read end is closed before the child starts, so its first write
+    # (unbuffered) or its flush (buffered) to stdout fails with EPIPE
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "triparts.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_histogram_plan_crank(capsys):

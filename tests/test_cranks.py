@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -270,6 +273,28 @@ def test_build_matches_table_dimensions():
     dedicated = arrangement_2m_minus_2(5)
     for kprime in range(4):
         assert generic.dims(kprime) == dedicated.dims(kprime)
+
+
+# sha256 of every generic plan's parameters for the nine labels, recorded
+# before build_arrangement read all of them from the case table
+PLAN_PARAMETERS = {
+    5: "90a1a6fd72545fc6b11d2de46614ac2d3be9af9ad4160537b1e1b5a63241a1c1",
+    11: "63a76474ef17de561b0bb5d7a9eb796171badda063dd03793e33c2f5236a3ece",
+    83: "17a624be7a6a0ab144c30108187aa1f2ea81bc55242dfdd4e3850f6b2712a70c",
+}
+
+
+@pytest.mark.parametrize("m", sorted(PLAN_PARAMETERS))
+def test_build_arrangement_parameters_pinned(m):
+    doc = {}
+    for label in case_labels():
+        plan = build_arrangement(label, m)
+        doc[label] = [plan.r_value, plan.k_offset, plan.ell1, plan.ell2,
+                      plan.eta, plan.delta,
+                      [[mu, off, mp.matrix, mp.offset]
+                       for mu, off, mp in plan.placements]]
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PLAN_PARAMETERS[m]
 
 
 def test_build_all_cases_cover_and_uniform():

@@ -1,13 +1,18 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from triparts import ehrhart
 from triparts.ehrhart import (
     GENERATORS,
     V3,
     box_compose,
     box_decompose,
+    check_box_bijection,
     fundamental_points,
     h_star,
     h_star_from_gf,
@@ -18,6 +23,8 @@ from triparts.ehrhart import (
     v3_solve,
 )
 from triparts.partitions import count_bruteforce, enumerate_partitions
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 H_STAR_EXPECTED = [0, 0, 0, 1, 1, 2, 3, 4, 5, 4, 5, 4, 3, 2, 1, 1, 0, 0]
 
@@ -120,3 +127,63 @@ def test_tiling_group_sizes():
         k = (20 - sum(mu)) // 6
         assert len(lams) == (k + 2) * (k + 1) // 2
         assert sorted(lams) == sorted(box_compose(mu, t) for t in triangle(k))
+
+
+def test_check_box_bijection_counts():
+    assert check_box_bijection(2) == 0
+    assert check_box_bijection(20) == 33
+    total = sum(check_box_bijection(n) for n in range(200))
+    assert total == sum(count_bruteforce(n) for n in range(200))
+
+
+def _floor_half_l3(lam):
+    # floor(l3/2) in place of ceil(l3/2) - 1: mu3 = 0 for even l3
+    l1, l2, l3 = lam
+    t1, t2, t3 = (l1 - l2) // 6, (l2 - l3) // 3, l3 // 2
+    mu = (l1 - 6 * t1 - 3 * t2 - 2 * t3, l2 - 3 * t2 - 2 * t3, l3 - 2 * t3)
+    return mu, (t1, t2, t3)
+
+
+def _stale_tau(lam):
+    # tau moved on, mu left behind: the round trip breaks
+    mu, (t1, t2, t3) = box_decompose(lam)
+    return mu, (t1, t2 + (lam[2] > 3), t3)
+
+
+@pytest.mark.parametrize("fault", [_floor_half_l3, _stale_tau])
+def test_check_box_bijection_rejects_faulty_decompositions(monkeypatch, fault):
+    monkeypatch.setattr(ehrhart, "box_decompose", fault)
+    with pytest.raises(AssertionError):
+        check_box_bijection(40)
+
+
+_STDLIB_ONLY = """
+import importlib, pkgutil, sys
+
+class StdlibOnly:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top != "triparts" and top not in sys.stdlib_module_names:
+            raise ImportError("not in the standard library: " + name)
+
+sys.meta_path.insert(0, StdlibOnly())
+import triparts
+for info in pkgutil.walk_packages(triparts.__path__, "triparts."):
+    importlib.import_module(info.name)
+from triparts.ehrhart import check_box_bijection
+assert check_box_bijection(20) == 33
+print(" ".join(sorted(name for name in sys.modules if name.startswith("triparts"))))
+"""
+
+
+def test_package_needs_only_the_standard_library():
+    # -S keeps site-packages off the path; the finder refuses any other
+    # non-stdlib import, so every module must load on the stdlib alone
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", _STDLIB_ONLY],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    files = os.listdir(os.path.join(SRC, "triparts"))
+    modules = {"triparts." + f[:-3] for f in files
+               if f.endswith(".py") and f != "__init__.py"}
+    assert set(proc.stdout.split()) == modules | {"triparts"}
