@@ -16,7 +16,9 @@ print("c_ls histogram of P(%d,3) mod %d: %s  uniform=%s"
       % (n, m, list(h.counts), is_uniform(h)))
 
 # Interior steps slide along a row of constant smallest part; rows end on
-# the border lam2 == lam3, where a nine-case jump formula takes over.
+# the border lam2 == lam3, which jumps to the top of another row: the rows
+# are sent, in order, onto the rows of one parity and then of the other,
+# each block rotated.
 lam = (18, 3, 1)
 print("interior step:", lam, "->", step_f(lam, m))
 lam = (20, 1, 1)

@@ -6,8 +6,11 @@ envelope (documented in docs/cli-schema.json); `decompose` emits the bare
 {"mu": ..., "tau": ...} object.  CSV uses CRLF line endings with fixed
 column orders.  Exit codes: 0 success, 1 verification failure, 2 input
 error or a stdout closed before all output was written (one `error:` line
-on stderr, no traceback).  All output is deterministic for identical
-inputs.
+on stderr, no traceback).  A failed internal proof check (an
+AssertionError, such as row_permutation finding a border jump that does
+not raise c_ls by one) is a verification failure: exit 1, nothing on
+stdout, one `error: internal check failed: ...` line on stderr.  All output
+is deterministic for identical inputs.
 """
 
 import argparse
@@ -397,6 +400,9 @@ def main(argv=None):
         print("error: stdout closed before all output was written",
               file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print("error: internal check failed: %s" % exc, file=sys.stderr)
+        return 1
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -5,7 +5,10 @@ primes m with m % 6 == 5:
 
 * c_ls: largest part minus smallest part, taken mod m.  Realized as a
   permutation of P(n,3) (step_f) whose every step raises c_ls by one, so
-  its orbits split P(n,3) into cycles of length divisible by m.
+  its orbits split P(n,3) into cycles of length divisible by m.  The
+  step slides along rows of constant smallest part; at a row's end it
+  jumps to the top of another row, the rows taken in order onto the
+  rows of one parity and then of the other, each block rotated.
 
 * Rectangle cranks: box-decompose each partition, place the per-remainder
   triangles of box quotients into a lattice rectangle through affine maps,
@@ -204,9 +207,7 @@ class RectanglePlan:
 
     def __init__(self, r_label, r_value, m, ell1, ell2, k_offset,
                  placements, eta, delta):
-        residues_neg(m)  # validates m
-        if (m - 2) % 3:
-            raise AssertionError("(m-2)/3 must be integral")
+        residues_neg(m)  # validates m, so m % 6 == 5 and (m-2)/3 is integral
         self.r_label = r_label
         self.r_value = int(r_value)
         self.m = m
@@ -473,21 +474,22 @@ def rectangle_cycle_step(plan, lam):
 #   "vrect"  two copies of T_a transposed, covering (a+1) columns, rows 0..a+1
 # Each case lays three blocks left to right; triangle sizes are k minus the
 # listed size offset.  Vertical-axis cases read the crank off y, horizontal
-# ones off x; in both the step-axis dimension is m * (integer).  Every column
-# but the last two is a pair (a, b): r' = a*m + b, k_offset = a*c + b with
+# ones off x; in both the step-axis dimension is m * (integer).  The first
+# four columns are pairs (a, b): r' = a*m + b, k_offset = a*c + b with
 # c = (m-2)/3, and the constant terms of ell1 = 3m k' + (a*m + b) and
-# ell2 = m k' + (a*c + b).
+# ell2 = m k' + (a*c + b).  The last column (p, rho_A, rho_B) gives the
+# border jumps of step_f as two row rotations (see _border_row).
 _CASES = {
-    # label: (r', k_offset, ell1 constant, ell2 constant, axis, blocks)
-    "0": ((0, 0), (0, 0), (0, 0), (0, 0), "y", (("sq", 1), ("sq", 1), ("sq", 1))),
-    "1": ((0, 1), (0, 0), (0, 1), (0, 0), "y", (("hrect", 1), ("sq", 1), ("sq", 1))),
-    "2": ((0, 2), (0, 0), (0, 2), (0, 0), "y", (("sq", 1), ("hrect", 1), ("hrect", 1))),
-    "-1": ((0, -1), (0, -1), (0, -1), (0, 0), "y", (("hrect", 0), ("vrect", 1), ("vrect", 1))),
-    "-2": ((0, -2), (0, -1), (0, -2), (0, 0), "y", (("sq", 0), ("vrect", 1), ("vrect", 1))),
-    "2m-2": ((2, -2), (1, 0), (1, 0), (1, 0), "x", (("sq", 1), ("hrect", 1), ("hrect", 1))),
-    "2m+1": ((2, 1), (1, 0), (1, 0), (1, 1), "x", (("hrect", 0), ("vrect", 1), ("vrect", 1))),
-    "-(2m-2)": ((-2, 2), (-1, -1), (-1, 0), (-1, 0), "x", (("sq", 0), ("vrect", 1), ("vrect", 1))),
-    "-(2m+1)": ((-2, -1), (-1, -1), (-1, 0), (-1, -1), "x", (("hrect", 1), ("sq", 1), ("sq", 1))),
+    # label: (r', k_offset, ell1 constant, ell2 constant, axis, blocks, border)
+    "0": ((0, 0), (0, 0), (0, 0), (0, 0), "y", (("sq", 1), ("sq", 1), ("sq", 1)), (1, 2, -2)),
+    "1": ((0, 1), (0, 0), (0, 1), (0, 0), "y", (("hrect", 1), ("sq", 1), ("sq", 1)), (1, 0, -2)),
+    "2": ((0, 2), (0, 0), (0, 2), (0, 0), "y", (("sq", 1), ("hrect", 1), ("hrect", 1)), (1, 0, -4)),
+    "-1": ((0, -1), (0, -1), (0, -1), (0, 0), "y", (("hrect", 0), ("vrect", 1), ("vrect", 1)), (0, 0, -4)),
+    "-2": ((0, -2), (0, -1), (0, -2), (0, 0), "y", (("sq", 0), ("vrect", 1), ("vrect", 1)), (0, 0, -2)),
+    "2m-2": ((2, -2), (1, 0), (1, 0), (1, 0), "x", (("sq", 1), ("hrect", 1), ("hrect", 1)), (0, 0, 0)),
+    "2m+1": ((2, 1), (1, 0), (1, 0), (1, 1), "x", (("hrect", 0), ("vrect", 1), ("vrect", 1)), (1, 0, 0)),
+    "-(2m-2)": ((-2, 2), (-1, -1), (-1, 0), (-1, 0), "x", (("sq", 0), ("vrect", 1), ("vrect", 1)), (1, 0, 0)),
+    "-(2m+1)": ((-2, -1), (-1, -1), (-1, 0), (-1, -1), "x", (("hrect", 1), ("sq", 1), ("sq", 1)), (0, 0, 0)),
 }
 
 # (eta, delta) for the crank read off each axis
@@ -565,7 +567,7 @@ def build_arrangement(r_prime, m):
     """
     label = normalize_case_label(r_prime, m)
     c = (m - 2) // 3
-    _, koff, const1, const2, axis, blocks = _CASES[label]
+    koff, const1, const2, axis, blocks = _CASES[label][1:6]
     r_value = _r_values(m)[label]
     k_offset = koff[0] * c + koff[1]
     ell1 = (3 * m, const1[0] * m + const1[1])
@@ -609,108 +611,39 @@ def plan_for(r_prime, m):
 CycleDecomposition = namedtuple("CycleDecomposition", ["cycles"])
 
 
-def _signed_residue(n, m):
-    """Signed representative r' of n mod 6m among the nine divisible
+def _residue_label(n, m):
+    """Label of the signed residue r' of n mod 6m among the nine divisible
     classes 0, +-1, +-2, +-(2m-2), +-(2m+1); raises if n does not qualify."""
     residues_neg(m)  # validates m; the nine r' are then distinct mod 6m
-    for r in _r_values(m).values():
+    for label, r in _r_values(m).items():
         if (n - r) % (6 * m) == 0:
-            return r
+            return label
     raise ValueError("height %d does not qualify for modulus %d" % (n, m))
 
 
-def _border_step(n, m, t, r, big_k):
-    """Image of the left-border partition (n-2t, t, t) on the right border.
+def _border_row(n, m, t, label):
+    """Row l3 whose top is the image of the border partition (n-2t, t, t).
 
-    Case list by signed residue r, with K such that n = 6mK + r and
-    j = (m+1)/6.  Every branch lands on (ceil(a/2), floor(a/2), l3) for
-    the image's own row l3, and raises c_ls by one.
+    The rows are t = 1 .. R = n//3.  With (p, rho_A, rho_B) the border
+    column of _CASES and j = (m+1)/6, the first a rows, a the number of
+    rows of parity p, land in order on the rows of parity p rotated by
+    rho_A j; the other R - a land in order on the rows of the other parity
+    rotated by rho_B j.
     """
-    mk = m * big_k
-    j = (m + 1) // 6
-    half = 3 * mk  # (6mK)/2
-    if r == -(2 * m + 1):
-        hh = (6 * mk + r + 1) // 2
-        b = mk + r // 6  # floor division toward -inf
-        if 1 <= t <= b:
-            return (hh - t, hh - (t + 1), 2 * t)
-        if b + 1 <= t <= 2 * b:
-            d = t - b
-            return (hh - d, hh - d, 2 * d - 1)
-    elif r == -(2 * m - 2):
-        hh = (6 * mk + r) // 2
-        b = mk + r // 6
-        if 1 <= t <= b + 1:
-            return (hh - (t - 1), hh - t, 2 * t - 1)
-        if b + 2 <= t <= 2 * b + 1:
-            d = t - b - 1
-            return (hh - d, hh - d, 2 * d)
-    elif r == -2:
-        if 1 <= t <= mk - 1:
-            return (half - (t + 1), half - (t + 1), 2 * t)
-        if mk <= t <= mk - 1 + 2 * j:
-            return (half - (t + 1 - 2 * j), half - (t + 2 - 2 * j),
-                    2 * (t - 2 * j) + 1)
-        if mk + 2 * j <= t <= 2 * mk - 1:
-            return (half - (t + 1 - 2 * j - mk), half - (t + 2 - 2 * j - mk),
-                    2 * (t + 1 - 2 * j - mk) - 1)
-    elif r == -1:
-        if 1 <= t <= mk - 1:
-            return (half - t, half - (t + 1), 2 * t)
-        if mk <= t <= mk + 4 * j - 1:
-            d = t + 1 - 4 * j
-            return (half - d, half - d, 2 * d - 1)
-        if mk + 4 * j <= t <= 2 * mk - 1:
-            d = t + 1 - 4 * j - mk
-            return (half - d, half - d, 2 * d - 1)
-    elif r == 0:
-        if 1 <= t <= mk - 2 * j:
-            return (half - (t - 1 + 2 * j), half - (t + 2 * j),
-                    2 * (t + 2 * j) - 1)
-        if mk - 2 * j + 1 <= t <= mk:
-            return (half - (t - 1 + 2 * j - mk), half - (t + 2 * j - mk),
-                    2 * (t + 2 * j - mk) - 1)
-        if mk + 1 <= t <= mk + 2 * j:
-            d = t - 2 * j
-            return (half - d, half - d, 2 * d)
-        if mk + 2 * j + 1 <= t <= 2 * mk:
-            d = t - 2 * j - mk
-            return (half - d, half - d, 2 * d)
-    elif r == 1:
-        if 1 <= t <= mk:
-            return (half - (t - 1), half - (t - 1), 2 * t - 1)
-        if mk + 1 <= t <= mk + 2 * j:
-            return (half - (t - 1 - 2 * j), half - (t - 2 * j),
-                    2 * (t - 2 * j))
-        if mk + 2 * j + 1 <= t <= 2 * mk:
-            return (half - (t - 1 - 2 * j - mk), half - (t - 2 * j - mk),
-                    2 * (t - 2 * j - mk))
-    elif r == 2:
-        if 1 <= t <= mk:
-            return (half - (t - 2), half - (t - 1), 2 * t - 1)
-        if mk + 1 <= t <= mk + 4 * j:
-            d = t - 1 - 4 * j
-            return (half - d, half - d, 2 * (t - 4 * j))
-        if mk + 4 * j + 1 <= t <= 2 * mk:
-            d = t - 1 - 4 * j - mk
-            return (half - d, half - d, 2 * (t - 4 * j - mk))
-    elif r == 2 * m - 2:
-        hh = (6 * mk + r) // 2
-        b = mk + r // 6
-        if 1 <= t <= b:
-            return (hh - t, hh - t, 2 * t)
-        if b + 1 <= t <= 2 * b:
-            d = t - b
-            return (hh - (d - 1), hh - d, 2 * d - 1)
-    elif r == 2 * m + 1:
-        hh = (6 * mk + r + 1) // 2
-        b = mk + r // 6
-        if 1 <= t <= b + 1:
-            return (hh - t, hh - t, 2 * t - 1)
-        if b + 2 <= t <= 2 * b + 1:
-            d = t - 1 - b
-            return (hh - d, hh - (d + 1), 2 * d)
-    raise AssertionError("border row %d out of range for n=%d, m=%d" % (t, n, m))
+    p, rot_a, rot_b = _CASES[label][6]
+    rows, j = n // 3, (m + 1) // 6
+    a = (rows + p) // 2
+    if t <= a:
+        i, size, rot, parity = t - 1, a, rot_a * j, p
+    else:
+        i, size, rot, parity = t - 1 - a, rows - a, rot_b * j, 1 - p
+    return 2 * ((i + rot) % size + 1) - parity
+
+
+def _row_top(n, l3):
+    """The top (n-l3-h, h, l3), h = (n-l3)//2, of row l3 of P(n,3)."""
+    h = (n - l3) // 2
+    return (n - l3 - h, h, l3)
 
 
 def step_f(lam, m):
@@ -718,44 +651,39 @@ def step_f(lam, m):
 
     Off the left border (l2 != l3) the step slides one cell along the row
     of constant smallest part: (l1+1, l2-1, l3).  On the border it jumps
-    to the right border by the residue-class formula.  Every step raises
-    c_ls by exactly one mod m; heights must lie in a divisible class.
+    to the top of another row: the rows of each parity are taken in turn
+    and rotated (_border_row).  Every step raises c_ls by exactly one
+    mod m; heights must lie in a divisible class.
     """
     n = lam[0] + lam[1] + lam[2]
-    r = _signed_residue(n, m)
+    label = _residue_label(n, m)
     if lam[1] != lam[2]:
         return (lam[0] + 1, lam[1] - 1, lam[2])
-    big_k = (n - r) // (6 * m)
-    return _border_step(n, m, lam[2], r, big_k)
+    return _row_top(n, _border_row(n, m, lam[2], label))
 
 
 def row_permutation(n, m):
     """The permutation on rows (constant smallest part) induced by the
     border jumps: row t maps to the row of step_f((n-2t, t, t)).
 
-    Off the border step_f slides (l1, l2, t) to (l1+1, l2-1, t), raising
-    c_ls by one and never landing on the top of a row.  So step_f is a
-    bijection of P(n,3) raising c_ls by one exactly when every border
-    jump lands on the top (n-l3-(n-l3)//2, (n-l3)//2, l3) of a row, raises
-    c_ls by one mod m, and the row map is a permutation.  All three are
-    asserted here, with n//3 border jumps in all.
+    Each jump lands on the top of a row (_border_row: two rotations, each
+    within the rows of one parity).  Off the border step_f slides
+    (l1, l2, t) to (l1+1, l2-1, t), raising c_ls by one and never landing
+    on the top of a row.  So step_f is a bijection of P(n,3) raising c_ls
+    by one exactly when every border jump raises c_ls by one mod m and the
+    row map is a permutation.  Both are asserted here, with n//3 border
+    jumps in all.
     """
-    r = _signed_residue(n, m)
-    big_k = (n - r) // (6 * m)
+    label = _residue_label(n, m)
     rows = n // 3
     perm = {}
     for t in range(1, rows + 1):
-        img = _border_step(n, m, t, r, big_k)
-        l3 = img[2]
-        half = (n - l3) // 2
-        if not (1 <= l3 <= rows and img == (n - l3 - half, half, l3)):
-            raise AssertionError("border image %r of row %d is not the top "
-                                 "of a row of P(%d,3)" % (img, t, n))
-        if (img[0] - l3 - (n - 3 * t) - 1) % m:
-            raise AssertionError("border jump from row %d to %r does not "
-                                 "raise c_ls by 1 mod %d" % (t, img, m))
+        l3 = _border_row(n, m, t, label)
+        if (_row_top(n, l3)[0] - l3 - (n - 3 * t) - 1) % m:
+            raise AssertionError("border jump from row %d to row %d does not "
+                                 "raise c_ls by 1 mod %d" % (t, l3, m))
         perm[t] = l3
-    if len(set(perm.values())) != rows:
+    if set(perm.values()) != set(range(1, rows + 1)):
         raise AssertionError("border rows of P(%d,3) do not map onto the "
                              "rows one to one" % (n,))
     return perm

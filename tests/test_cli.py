@@ -7,6 +7,7 @@ import sys
 import jsonschema
 import pytest
 
+from triparts import cranks
 from triparts.cli import main, render_tiling_svg
 from triparts.cranks import c_ls, histogram
 
@@ -253,6 +254,19 @@ def test_cycles_json(capsys):
         deltas = {(b - a) % 5 for a, b in zip(cyc["cranks"],
                                               cyc["cranks"][1:])}
         assert deltas <= {1}
+
+
+def test_failed_internal_check_is_a_verification_failure(capsys, monkeypatch):
+    # the border rule with the rows rotated one place too far: still a
+    # permutation of the rows, but the jumps no longer raise c_ls by one
+    border_row = cranks._border_row
+    monkeypatch.setattr(cranks, "_border_row", lambda n, m, t, label:
+                        border_row(n, m, t % (n // 3) + 1, label))
+    code, out, err = run(capsys, "cycles", "98", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: internal check failed:")
+    assert err.count("\n") == 1
 
 
 def test_rectangle_report(capsys):

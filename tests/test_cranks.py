@@ -500,6 +500,28 @@ def test_row_permutation_22_5():
     ]
 
 
+# sha256 of the row map of every qualifying height 3 <= n <= 2000, recorded
+# from the per-residue border formulas before the rotation rule replaced them
+ROW_PERMUTATIONS = {
+    5: "a6d947c0638a4e54d49e62989b2e9b3bf4dff8bcdf04c48c008e3843999c6349",
+    11: "af937e0a794c3b34e58098d5a4d52d686b255b26896dc2a00ff1d57b320e695c",
+    17: "c037da07e215817982d384599b3c363c7bb2023a2b2fd9ac38af17101666b777",
+    23: "06d8b334c2d380c60a9825e662a7376618e50f1864587c730f691c7944e1e07b",
+    83: "3696e72a59a1395e3a28b74a7b2332d7ea18fb366e7cfc507f67cf493b6cee01",
+}
+
+
+@pytest.mark.parametrize("m", sorted(ROW_PERMUTATIONS))
+def test_row_permutation_pinned(m):
+    doc = {}
+    for n in range(3, 2001):
+        if is_divisible(n, m):
+            perm = row_permutation(n, m)
+            doc[n] = [perm[t] for t in sorted(perm)]
+    text = json.dumps(doc)
+    assert hashlib.sha256(text.encode()).hexdigest() == ROW_PERMUTATIONS[m]
+
+
 def test_single_cycle_at_8():
     dec = cycle_decomposition(8, 5)
     assert cycle_lengths(dec) == [5]
@@ -543,30 +565,23 @@ def test_row_route_matches_step_f_walk(m):
             assert orbit == cyc, (n, m)
 
 
-def _row_top(n, l3):
-    half = (n - l3) // 2
-    return (n - l3 - half, half, l3)
-
-
-def _top_with_shift(n, m, t, wanted):
-    """Top of the first row whose c_ls, measured from the border of row t,
+def _row_with_shift(n, m, t, wanted):
+    """The first row whose top's c_ls, measured from the border of row t,
     is (wanted is True) or is not (False) raised by one mod m."""
     for l3 in range(1, n // 3 + 1):
-        top = _row_top(n, l3)
-        if (((top[0] - l3) - (n - 3 * t) - 1) % m == 0) == wanted:
-            return top
+        half = (n - l3) // 2
+        if (((n - l3 - half - l3) - (n - 3 * t) - 1) % m == 0) == wanted:
+            return l3
     raise AssertionError("no such row")
 
 
 @pytest.mark.parametrize("fault,message", [
-    (lambda n, m, t: (_row_top(n, t)[0] + 1, _row_top(n, t)[1] - 1, t),
-     "not the top"),
-    (lambda n, m, t: _top_with_shift(n, m, t, False), "does not raise c_ls"),
-    (lambda n, m, t: _top_with_shift(n, m, t, True), "one to one"),
-], ids=["not-top", "wrong-c_ls", "not-a-permutation"])
+    (lambda n, m, t: _row_with_shift(n, m, t, False), "does not raise c_ls"),
+    (lambda n, m, t: _row_with_shift(n, m, t, True), "one to one"),
+], ids=["wrong-c_ls", "not-a-permutation"])
 def test_row_route_rejects_faulty_border_steps(monkeypatch, fault, message):
     n, m = 98, 5
-    monkeypatch.setattr(cranks, "_border_step",
-                        lambda n, m, t, r, big_k: fault(n, m, t))
+    monkeypatch.setattr(cranks, "_border_row",
+                        lambda n, m, t, label: fault(n, m, t))
     with pytest.raises(AssertionError, match=message):
         cycle_decomposition(n, m)
