@@ -16,10 +16,10 @@ is deterministic for identical inputs.
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys
+from itertools import chain, repeat
 
 from . import __version__
 from .congruence import characterize, non_witnessed_residues
@@ -181,29 +181,43 @@ def cmd_histogram(args):
     return 0
 
 
+# `cycles` output from fixed templates, one write per cycle: byte for byte
+# what json.dumps(report, sort_keys=True, indent=2) and
+# csv.writer(lineterminator="\r\n") write for the same report and rows.
+_CYCLES_HEAD = ('{\n  "command": "cycles",\n  "inputs": {\n    "m": %d,\n'
+                '    "n": %d\n  },\n  "outcome": "success",\n'
+                '  "payload": {\n    "cycles": [\n')
+_CYCLE = ('      {\n        "cranks": [\n%s\n        ],\n'
+          '        "length": %d,\n        "partitions": [\n%s\n'
+          '        ]\n      }')
+_TRIPLE = ("          [\n            %d,\n            %d,\n"
+           "            %d\n          ]")
+_CYCLES_TAIL = '\n    ],\n    "lengths": [\n%s\n    ]\n  }\n}\n'
+
+
 def cmd_cycles(args):
-    dec = cycle_decomposition(args.n, args.m)
-    if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\r\n")
-        writer.writerow(["cycle_index", "position", "lambda1", "lambda2",
-                         "lambda3", "crank"])
-        for ci, cyc in enumerate(dec.cycles):
-            for pos, lam in enumerate(cyc):
-                writer.writerow([ci, pos, lam[0], lam[1], lam[2],
-                                 c_ls(lam, args.m)])
-        sys.stdout.write(out.getvalue())
-        return 0
-    payload = {
-        "lengths": [len(c) for c in dec.cycles],
-        "cycles": [
-            {"length": len(c),
-             "partitions": [list(lam) for lam in c],
-             "cranks": [c_ls(lam, args.m) for lam in c]}
-            for c in dec.cycles
-        ],
-    }
-    _print_report("cycles", {"n": args.n, "m": args.m}, "success", payload)
+    m, as_json = args.m, args.format == "json"
+    cycles = cycle_decomposition(args.n, m).cycles  # checked before any write
+    write = sys.stdout.write
+    write(_CYCLES_HEAD % (m, args.n) if as_json else
+          "cycle_index,position,lambda1,lambda2,lambda3,crank\r\n")
+    for ci, cyc in enumerate(cycles):
+        size = len(cyc)
+        # row_permutation asserted that every step raises c_ls by one mod m
+        c0 = c_ls(cyc[0], m)
+        cranks = [(c0 + pos) % m for pos in range(size)]
+        if as_json:
+            write((",\n" if ci else "") + _CYCLE % (
+                ",\n".join(repeat("          %d", size)) % tuple(cranks),
+                size,
+                ",\n".join(repeat(_TRIPLE, size))
+                % tuple(chain.from_iterable(cyc))))
+        else:
+            row = "%d,%%d,%%d,%%d,%%d,%%d\r\n" % ci
+            write(row * size % tuple(chain.from_iterable(
+                zip(range(size), *zip(*cyc), cranks))))
+    if as_json:
+        write(_CYCLES_TAIL % ",\n".join(["      %d" % len(c) for c in cycles]))
     return 0
 
 

@@ -18,15 +18,20 @@ VerifyReport = namedtuple("VerifyReport", ["ok", "first_mismatch", "checked"])
 
 
 # Miller-Rabin with the first thirteen primes as bases is exact below the
-# smallest strong pseudoprime to all of them (Sorenson and Webster, 2015).
+# smallest strong pseudoprime to all of them (Sorenson and Webster, 2015);
+# the bases 2, 3, 5, 7 are exact below 3215031751, the smallest strong
+# pseudoprime to all four (Jaeschke, 1993).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+_MR_SMALL_BASES = (2, 3, 5, 7)
+_MR_SMALL_LIMIT = 3215031751
 
 
 def is_prime(m):
     """Deterministic Miller-Rabin primality, O(log m) multiplications per
-    base.  Raises ValueError for m >= 3317044064679887385961981, where the
-    fixed bases are no longer proven."""
+    base: four bases below 3215031751, thirteen above.  Raises ValueError
+    for m >= 3317044064679887385961981, where the fixed bases are no
+    longer proven."""
     if m >= _MR_LIMIT:
         raise ValueError("primality is decided only below %d, got %d"
                          % (_MR_LIMIT, m))
@@ -38,7 +43,7 @@ def is_prime(m):
     d, s = m - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES:
+    for a in _MR_SMALL_BASES if m < _MR_SMALL_LIMIT else _MR_BASES:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue

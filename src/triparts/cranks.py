@@ -17,6 +17,7 @@ primes m with m % 6 == 5:
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate, repeat
 
 from .congruence import residues_neg
@@ -611,9 +612,12 @@ def plan_for(r_prime, m):
 CycleDecomposition = namedtuple("CycleDecomposition", ["cycles"])
 
 
+@lru_cache(maxsize=128)
 def _residue_label(n, m):
     """Label of the signed residue r' of n mod 6m among the nine divisible
-    classes 0, +-1, +-2, +-(2m-2), +-(2m+1); raises if n does not qualify."""
+    classes 0, +-1, +-2, +-(2m-2), +-(2m+1); raises if n does not qualify.
+    Memoized for step_f walks; lru_cache keeps no exceptions, so a bad
+    input raises on every call."""
     residues_neg(m)  # validates m; the nine r' are then distinct mod 6m
     for label, r in _r_values(m).items():
         if (n - r) % (6 * m) == 0:

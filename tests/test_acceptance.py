@@ -251,3 +251,13 @@ def test_14_small_queries_cost_the_query(capsys):
     elapsed = time.monotonic() - start
     assert capsys.readouterr().out == first * 1000
     assert elapsed < 1.0, elapsed
+
+
+def test_15_cycles_export_streams(capsys):
+    start = time.monotonic()
+    code = cli.main(["cycles", "995", "83"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert code == 0
+    assert sum(payload["lengths"]) == count_bruteforce(995)
+    assert elapsed < 0.4, elapsed

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,8 @@ import pytest
 
 from triparts import cranks
 from triparts.cli import main, render_tiling_svg
-from triparts.cranks import c_ls, histogram
+from triparts.congruence import is_divisible
+from triparts.cranks import c_ls, cycle_decomposition, histogram
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "docs", "cli-schema.json")
@@ -254,6 +257,78 @@ def test_cycles_json(capsys):
         deltas = {(b - a) % 5 for a, b in zip(cyc["cranks"],
                                               cyc["cranks"][1:])}
         assert deltas <= {1}
+
+
+def _cycles_reference(n, m, fmt):
+    """The `cycles` report through the stdlib encoders, c_ls per member."""
+    dec = cycle_decomposition(n, m)
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\r\n")
+        writer.writerow(["cycle_index", "position", "lambda1", "lambda2",
+                         "lambda3", "crank"])
+        for ci, cyc in enumerate(dec.cycles):
+            for pos, lam in enumerate(cyc):
+                writer.writerow([ci, pos, *lam, c_ls(lam, m)])
+        return out.getvalue()
+    payload = {
+        "lengths": [len(c) for c in dec.cycles],
+        "cycles": [{"length": len(c),
+                    "partitions": [list(lam) for lam in c],
+                    "cranks": [c_ls(lam, m) for lam in c]}
+                   for c in dec.cycles],
+    }
+    doc = {"command": "cycles", "inputs": {"n": n, "m": m},
+           "outcome": "success", "payload": payload}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_CYCLES_CASES = (
+    [(n, m) for m in (5, 11) for n in range(3, 121) if is_divisible(n, m)]
+    + [(n, m) for m in (17, 23, 83) for n in (18 * m - 1, 18 * m + 2)])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cycles_stream_matches_stdlib_encoders(capsys, fmt):
+    assert len(_CYCLES_CASES) == 53
+    for n, m in _CYCLES_CASES:
+        code, out, err = run(capsys, "cycles", str(n), str(m),
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == _cycles_reference(n, m, fmt), (n, m)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stdout_closed_mid_stream_is_an_input_error(capsys, fmt, unbuffered):
+    # the reader takes the first bytes and leaves; the rest of the output,
+    # many pipe buffers long, then fails to write
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "triparts.cli", "cycles",
+                             "1001", "5", "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    try:
+        head = proc.stdout.read(4096)
+        proc.stdout.close()
+        err = proc.stderr.read().decode("utf-8")
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    expected = run(capsys, "cycles", "1001", "5", "--format", fmt)[1]
+    expected = expected.encode("utf-8")
+    assert len(expected) > 100 * len(head) > 0
+    assert expected.startswith(head)
+    assert code == 2
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_failed_internal_check_is_a_verification_failure(capsys, monkeypatch):

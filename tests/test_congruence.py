@@ -151,8 +151,36 @@ def test_is_prime_helper():
     ]
     assert not is_prime(1)
     assert not is_prime(0)
-    for m in range(-3, 10 ** 5):
+    for m in range(-3, 2 * 10 ** 5):
         assert is_prime(m) == _trial_division(m), m
+
+
+def _strong_probable_prime(m, a):
+    """True when odd m > 2 passes one Miller-Rabin round to base a."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, m)
+    if x in (1, m - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
+def test_is_prime_switches_to_thirteen_bases_at_jaeschke_bound():
+    # below 3215031751 only the bases 2, 3, 5, 7 run: 25326001 passes
+    # 2, 3 and 5, and 7 exposes it
+    assert 2251 * 11251 == 25326001
+    assert all(_strong_probable_prime(25326001, a) for a in (2, 3, 5))
+    assert not is_prime(25326001)
+    # 3215031751 passes all four, so it is composite only if the bound
+    # is strict and the thirteen bases run from it on
+    assert 151 * 751 * 28351 == 3215031751
+    assert all(_strong_probable_prime(3215031751, a) for a in (2, 3, 5, 7))
+    assert not is_prime(3215031751)
 
 
 def test_is_prime_on_strong_pseudoprimes_and_large_primes():

@@ -482,6 +482,18 @@ def test_step_f_rejects_non_qualifying():
         step_f((10, 2, 2), 5)  # 14 mod 30 is not a divisible class
 
 
+@pytest.mark.parametrize("lam,m", [((10, 2, 2), 5), ((18, 3, 1), 7),
+                                   ((18, 3, 1), 25)],
+                         ids=["height", "plus-one-prime", "composite"])
+def test_step_f_rejects_on_every_call(lam, m):
+    # the height's label is memoized; a rejection must not be
+    step_f((18, 3, 1), 5)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            step_f(lam, m)
+    assert step_f((18, 3, 1), 5) == (19, 2, 1)
+
+
 def test_cycle_decomposition_22_5():
     dec = cycle_decomposition(22, 5)
     assert cycle_lengths(dec) == [10, 10, 20]
