@@ -316,11 +316,11 @@ def test_stdout_closed_mid_stream_is_an_input_error(capsys, fmt, unbuffered):
     try:
         head = proc.stdout.read(4096)
         proc.stdout.close()
-        err = proc.stderr.read().decode("utf-8")
-        code = proc.wait(timeout=60)
+        _, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
         proc.stderr.close()
+    code, err = proc.returncode, err.decode("utf-8")
     expected = run(capsys, "cycles", "1001", "5", "--format", fmt)[1]
     expected = expected.encode("utf-8")
     assert len(expected) > 100 * len(head) > 0
