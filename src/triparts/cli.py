@@ -28,12 +28,15 @@ from .cranks import (
     c_ls_histogram,
     c_ls_histograms,
     case_labels,
+    closed_form_table,
     cycle_decomposition,
     ehrhart_crank_closed_form,
     histogram,
     is_uniform,
     plan_crank,
     plan_for,
+    plan_table,
+    table_histogram,
 )
 from .ehrhart import box_compose, box_decompose, h_star, h_star_from_gf, tile_partition_triangle
 from .partitions import check_partition
@@ -163,13 +166,17 @@ def cmd_histogram(args):
         raise ValueError("m must be positive, got %d" % args.m)
     if args.crank == "cls":
         hist, tag = c_ls_histogram(args.n, args.m), "cls"
-    elif args.crank == "closed":
-        hist = histogram(args.n, args.m, ehrhart_crank_closed_form)
-        tag = "closed"
     else:
-        plan = plan_for(args.r_prime, args.m)
-        hist = histogram(args.n, args.m, plan_crank(plan))
-        tag = "plan:%s" % plan.r_label
+        if args.crank == "closed":
+            crank, table, tag = (ehrhart_crank_closed_form,
+                                 closed_form_table(), "closed")
+        else:
+            plan = plan_for(args.r_prime, args.m)
+            crank, table = plan_crank(plan), plan_table(plan)
+            tag = "plan:%s" % plan.r_label
+        hist = table_histogram(args.n, args.m, table)
+        if hist is None:  # an unplaced remainder: enumeration names it
+            hist = histogram(args.n, args.m, crank)
     uniform = is_uniform(hist)
     _print_report("histogram",
                   {"n": args.n, "m": args.m, "crank": tag},
@@ -370,8 +377,8 @@ def build_parser():
                    help="progression label for --crank plan (e.g. %s)"
                         % ", ".join(case_labels()))
     p.add_argument("--fast", action="store_true",
-                   help="accepted and ignored: cls always counts by rows, "
-                        "the other cranks enumerate")
+                   help="accepted and ignored: every crank counts by row "
+                        "classes")
     p.add_argument("--expect-uniform", action="store_true",
                    help="exit 1 if the histogram is not uniform")
     p.set_defaults(fn=cmd_histogram)

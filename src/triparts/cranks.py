@@ -25,6 +25,7 @@ from .ehrhart import (
     box_compose,
     box_decompose,
     fundamental_points,
+    row_classes,
     triangle,
     v3_apply,
 )
@@ -42,9 +43,12 @@ def c_ls(lam, m):
 
 
 def histogram(n, m, crank):
-    """Class sizes of a crank statistic over P(n,3).
+    """Class sizes of a crank statistic over P(n,3), by enumeration.
 
     ``crank`` is called as crank(lam, m); c_ls can be passed directly.
+    This is the reference the row-level routes (c_ls_histogram,
+    table_histogram) are tested against, and the route that raises, naming
+    the first partition a crank rejects.
     """
     counts = [0] * m
     for lam in enumerate_partitions(n):
@@ -114,6 +118,54 @@ def c_ls_histograms(m, n_max):
             if k % 2 == 0:
                 g[(k // 2) % m] += 1
         yield n, CrankHistogram(m, tuple(h))
+
+
+def table_histogram(n, m, table):
+    """The histogram of a crank given as a table, counted by row classes.
+
+    ``table`` maps a box remainder mu to (a1, a2, a3, c): the crank of
+    mu + V3 tau is (a1 t1 + a2 t2 + a3 t3 + c) mod m.  Along a row class
+    (ehrhart.row_classes) mu is fixed and tau moves by (-1, +1, 0), so the
+    crank moves by d = a2 - a1 per step and the class adds an arithmetic
+    run mod m.  Every table in the package has d in {-1, 0, 1} (others
+    are rejected), so a run is a wrapping interval of classes, or one
+    class for d = 0, binned in a difference array: O(n + m) for at most
+    n classes.  Returns None when a class's remainder has no entry;
+    histogram(n, m, crank), the reference the tests compare against, then
+    names the first partition the crank rejects.
+    """
+    if m <= 0:
+        raise ValueError("modulus must be positive, got %r" % (m,))
+    for mu, (a1, a2, _, _) in table.items():
+        if a2 - a1 not in (-1, 0, 1):
+            raise ValueError("table step %d for remainder %r is not -1, 0 "
+                             "or 1" % (a2 - a1, mu))
+    full = 0
+    diff = [0] * (m + 1)  # diff[m] takes the ends of runs that stop at m
+    for t, first, steps in row_classes(n):
+        mu, (t1, t2, t3) = box_decompose((n - t - first, first, t))
+        entry = table.get(mu)
+        if entry is None:
+            return None
+        a1, a2, a3, c = entry
+        s = (a1 * t1 + a2 * t2 + a3 * t3 + c) % m
+        if a2 == a1:
+            diff[s] += steps + 1
+            diff[s + 1] -= steps + 1
+            continue
+        if a2 < a1:  # the run s, s-1, .., s-steps, read upward
+            s = (s - steps) % m
+        q, r = divmod(steps + 1, m)
+        full += q
+        if r:
+            diff[s] += 1
+            if s + r <= m:
+                diff[s + r] -= 1
+            else:
+                diff[0] += 1
+                diff[s + r - m] -= 1
+    counts = [full + k for k in accumulate(diff[:m])]
+    return CrankHistogram(m, tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +446,22 @@ def plan_crank(plan):
     return crank
 
 
+def plan_table(plan):
+    """A plan's crank as a table_histogram table.
+
+    The placement of mu sends tau to (x, y) = A tau + o, and the crank is
+    eta . (x, y, 1), so mu gets (eta1 A[0] + eta2 A[1], eta . (o, 1)).
+    """
+    e1, e2, g = plan.eta
+    table = {}
+    for mu, _, mp in plan.placements:
+        (a, b, c), (d, e, f) = mp.matrix
+        ox, oy = mp.offset
+        table[mu] = (e1 * a + e2 * d, e1 * b + e2 * e, e1 * c + e2 * f,
+                     e1 * ox + e2 * oy + g)
+    return table
+
+
 def arrangement_2m_minus_2(m):
     """The dedicated arrangement for heights n = 6mk' + (2m-2).
 
@@ -450,6 +518,29 @@ def ehrhart_crank_closed_form(lam, m):
     else:
         x = (r2 + 2) * big_k + 2 * r2 + 1 - t1
     return x % m
+
+
+def closed_form_table():
+    """ehrhart_crank_closed_form as a table_histogram table.
+
+    The closed form branches on the remainder alone: with mu = lam - V3 tau,
+    r1 = mu1 - mu2, r2 = mu2 - mu3, and bar3 = l3 has the parity of mu3.
+    Each branch is affine in tau.  Only the remainders of height 2 mod 6
+    (heights 8 and 14) get an entry, as the closed form rejects the rest.
+    """
+    table = {}
+    for h, pts in fundamental_points().items():
+        if h % 6 != 2:
+            continue
+        for mu in pts:
+            r2 = mu[1] - mu[2]
+            if mu[2] % 2:  # (r2+1) K + 2 r2 + t3
+                table[mu] = (r2 + 1, r2 + 1, r2 + 2, 2 * r2)
+            elif (mu[0] - mu[1], r2) == (4, 2):  # K - t1
+                table[mu] = (0, 1, 1, 0)
+            else:  # (r2+2) K + 2 r2 + 1 - t1
+                table[mu] = (r2 + 1, r2 + 2, r2 + 2, 2 * r2 + 1)
+    return table
 
 
 def rectangle_cycle_step(plan, lam):

@@ -133,14 +133,26 @@ def box_compose(mu, tau):
     return (mu[0] + v[0], mu[1] + v[1], mu[2] + v[2])
 
 
+def row_classes(n):
+    """Yield (t, first, steps) for every row class of P(n,3).
+
+    A row class holds the partitions (n-t-l2, l2, t) with a fixed smallest
+    part t and a fixed l2 mod 3, l2 = first, first+3, .., first+3*steps;
+    every partition lies in exactly one class, and there are at most n.
+    A step moves lam by (-3, 3, 0) = V3 (-1, 1, 0): l1-l2 drops by 6 and
+    l2-l3 rises by 3, so mu stays fixed and tau moves by (-1, +1, 0).
+    """
+    for t in range(1, n // 3 + 1):
+        top = (n - t) // 2  # largest middle part in row t
+        for first in range(t, min(t + 2, top) + 1):
+            yield t, first, (top - first) // 3
+
+
 def check_box_bijection(n):
     """Check the box decomposition on every partition of n by row classes.
 
-    A row class holds the partitions (n-t-l2, l2, t) with a fixed smallest
-    part t and a fixed l2 mod 3, l2 stepping by 3; every partition lies in
-    exactly one class.  A step moves lam by (-3, 3, 0) = V3 (-1, 1, 0):
-    l1-l2 drops by 6 and l2-l3 rises by 3, so mu stays fixed and tau moves
-    by (-1, +1, 0).  At both ends of each class this asserts mu in F3, the
+    Along each row class (row_classes) mu stays fixed and tau moves by
+    (-1, +1, 0).  At both ends of each class this asserts mu in F3, the
     same mu at both ends, tau >= 0, tau_last - tau_first = steps (-1, 1, 0)
     and the round trip box_compose(mu, tau) == lam.
 
@@ -153,24 +165,21 @@ def check_box_bijection(n):
     """
     box = {mu for pts in fundamental_points().values() for mu in pts}
     covered = 0
-    for t in range(1, n // 3 + 1):
-        top = (n - t) // 2  # largest middle part in row t
-        for first in range(t, min(t + 2, top) + 1):
-            steps = (top - first) // 3
-            ends = []
-            for l2 in (first, first + 3 * steps):
-                lam = (n - t - l2, l2, t)
-                mu, tau = box_decompose(lam)
-                if min(tau) < 0 or box_compose(mu, tau) != lam:
-                    raise AssertionError("box decomposition failed at %r"
-                                         % (lam,))
-                ends.append((mu, tau))
-            (mu, tau), (mu_last, tau_last) = ends
-            if (mu not in box or mu_last != mu
-                    or tau_last != (tau[0] - steps, tau[1] + steps, tau[2])):
-                raise AssertionError("box decomposition failed on the row "
-                                     "class of %r" % (lam,))
-            covered += steps + 1
+    for t, first, steps in row_classes(n):
+        ends = []
+        for l2 in (first, first + 3 * steps):
+            lam = (n - t - l2, l2, t)
+            mu, tau = box_decompose(lam)
+            if min(tau) < 0 or box_compose(mu, tau) != lam:
+                raise AssertionError("box decomposition failed at %r"
+                                     % (lam,))
+            ends.append((mu, tau))
+        (mu, tau), (mu_last, tau_last) = ends
+        if (mu not in box or mu_last != mu
+                or tau_last != (tau[0] - steps, tau[1] + steps, tau[2])):
+            raise AssertionError("box decomposition failed on the row "
+                                 "class of %r" % (lam,))
+        covered += steps + 1
     return covered
 
 

@@ -27,7 +27,10 @@ from triparts.cranks import (
     is_uniform,
     permutation_cycles,
     plan_crank,
+    plan_for,
+    plan_table,
     row_permutation,
+    table_histogram,
 )
 from triparts.ehrhart import (
     box_compose,
@@ -261,3 +264,38 @@ def test_15_cycles_export_streams(capsys):
     assert code == 0
     assert sum(payload["lengths"]) == count_bruteforce(995)
     assert elapsed < 0.4, elapsed
+
+
+def test_16_plan_cranks_uniform_by_row_classes():
+    start = time.monotonic()
+    checked = 0
+    for m in (5, 11, 17, 23):
+        for label in case_labels():
+            plan = plan_for(label, m)
+            table = plan_table(plan)
+            kprime = 0
+            while plan.n_for(kprime) <= 2000:
+                n = plan.n_for(kprime)
+                kprime += 1
+                if n < 3:
+                    continue
+                h = table_histogram(n, m, table)
+                assert is_uniform(h), (label, m, n, h.counts)
+                assert sum(h.counts) == p3_nearest(n), (label, m, n)
+                checked += 1
+    assert checked == 1169
+    assert time.monotonic() - start < 10.0
+
+
+def test_17_crank_histograms_cost_the_row_classes(capsys):
+    for argv in (["histogram", "1429", "11", "--crank", "plan",
+                  "--r-prime=-(2m+1)"],
+                 ["histogram", "992", "71", "--crank", "closed"]):
+        start = time.monotonic()
+        code = cli.main(argv)
+        elapsed = time.monotonic() - start
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert code == 0
+        assert payload["uniform"] is True
+        assert payload["total"] == count_bruteforce(int(argv[1]))
+        assert elapsed < 0.05, (argv, elapsed)

@@ -24,17 +24,18 @@ MODULE_NAMES = {
         "AffineMap2", "CoverReport", "CrankHistogram", "CycleDecomposition",
         "DIRECTIONS", "RectanglePlan", "arrangement_2m_minus_2",
         "build_arrangement", "c_ls", "c_ls_histogram", "c_ls_histograms",
-        "case_labels", "cycle_decomposition", "cycle_lengths",
-        "ehrhart_crank", "ehrhart_crank_closed_form", "histogram",
-        "is_uniform", "normalize_case_label", "permutation_cycles",
-        "plan_crank", "plan_for", "rectangle_cycle_step", "row_permutation",
-        "step_deltas", "step_f", "vertex_crank_values",
+        "case_labels", "closed_form_table", "cycle_decomposition",
+        "cycle_lengths", "ehrhart_crank", "ehrhart_crank_closed_form",
+        "histogram", "is_uniform", "normalize_case_label",
+        "permutation_cycles", "plan_crank", "plan_for", "plan_table",
+        "rectangle_cycle_step", "row_permutation", "step_deltas", "step_f",
+        "table_histogram", "vertex_crank_values",
     ],
     "ehrhart": [
         "GENERATORS", "V3", "box_compose", "box_decompose",
         "check_box_bijection", "fundamental_points", "h_star",
-        "h_star_from_gf", "in_fundamental_box", "tile_partition_triangle",
-        "triangle", "v3_apply", "v3_solve",
+        "h_star_from_gf", "in_fundamental_box", "row_classes",
+        "tile_partition_triangle", "triangle", "v3_apply", "v3_solve",
     ],
     "partitions": [
         "check_partition", "column_multiplicities", "count_bruteforce",

@@ -219,6 +219,9 @@ def test_histogram_plan_crank(capsys):
     doc = check_schema(out)
     assert doc["inputs"]["crank"] == "plan:2m-2"
     assert doc["payload"]["total"] == 120
+    assert run(capsys, "histogram", "40", "5", "--crank", "plan") == (
+        2, "", "error: remainder (2, 1, 1) of (38, 1, 1) has no placement "
+        "in plan 2m-2\n")
 
 
 def test_histogram_closed_form(capsys):
@@ -228,9 +231,15 @@ def test_histogram_closed_form(capsys):
     assert code == 0
     doc = check_schema(out)
     assert doc["payload"]["counts"] == [24] * 5
-    code, _, err = run(capsys, "histogram", "21", "5", "--crank", "closed")
-    assert code == 2
-    assert "error:" in err
+    # the table has no remainder of this height: enumeration names the
+    # first partition the closed form rejects
+    assert run(capsys, "histogram", "21", "5", "--crank", "closed") == (
+        2, "", "error: height 21 is not 2 mod 6; closed form does not "
+        "apply\n")
+    code, out, err = run(capsys, "histogram", "2", "5", "--crank", "closed")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"] == {"counts": [0] * 5, "uniform": True,
+                                          "total": 0}
 
 
 def test_cycles_csv(capsys):
@@ -425,6 +434,7 @@ def test_unwritable_paths_are_input_errors(tmp_path, capsys):
     ("histogram", "10", "1000000000000000", "--fast"),
     ("histogram", "10", "1000000000000000"),
     ("histogram", "10", "100000000000000000000", "--fast"),
+    ("histogram", "8", "1000000000000000", "--crank", "closed"),
     ("rectangle", "5", "100000000", "0"),
 ])
 def test_oversized_inputs_are_input_errors(capsys, argv):
@@ -450,7 +460,8 @@ def test_malformed_invocation_exits_2(capsys):
 
 # sha256 of stdout, recorded before each refactor of the routes behind
 # these commands (row-level cycles and covers; the single plan factory and
-# method registry); any byte of difference fails here.
+# method registry; plan and closed-form histograms by row classes); any
+# byte of difference fails here.
 GOLDEN_STDOUT = [
     (("count", "22"),
      "cbeebfa8d47f032da1b7f82005ba027d94716c90570e0d55ce331cb8d1d5dae0"),
@@ -476,6 +487,10 @@ GOLDEN_STDOUT = [
      "c4974ffc3423d1e7a1641960d869721869a752228c3c223823b0c5476df40ebc"),
     (("histogram", "998", "83", "--crank", "closed"),
      "00d11e88d16962f889dc05a624ca4e154ad9a55cf53830c7e4e07f842a5ec730"),
+    (("histogram", "1001", "5", "--crank", "plan", "--r-prime", "2m+1"),
+     "600bc1674d6e15a5d8e2fdf6f0c975a014d88dd59faec9c3aafd505c6fe0a246"),
+    (("histogram", "992", "71", "--crank", "closed"),
+     "e18a3257f56b4204f833914036e8f9fca326234abe801b0f542e94e5015abd31"),
     (("cycles", "38", "5", "--format", "csv"),
      "b2613a6543e9005ec29964300e7a0bce036ed54d3fd157e562dcd0d12ce8b5b3"),
     (("cycles", "38", "5"),

@@ -15,6 +15,7 @@ from triparts.cranks import (
     c_ls_histogram,
     c_ls_histograms,
     case_labels,
+    closed_form_table,
     cycle_decomposition,
     cycle_lengths,
     ehrhart_crank,
@@ -25,10 +26,12 @@ from triparts.cranks import (
     permutation_cycles,
     plan_crank,
     plan_for,
+    plan_table,
     rectangle_cycle_step,
     row_permutation,
     step_deltas,
     step_f,
+    table_histogram,
     vertex_crank_values,
 )
 from triparts.congruence import is_divisible, non_witnessed_residues, residues_pos
@@ -203,6 +206,74 @@ def test_closed_form_rejects_off_progression():
         ehrhart_crank_closed_form((3, 3, 3), 5)
     with pytest.raises(ValueError):
         ehrhart_crank_closed_form((5, 2, 2), 5)
+
+
+# ---------------------------------------------------------------------------
+# Crank tables counted by row classes
+
+def _tables():
+    """(name, m, r, table, crank) for every plan label at four moduli and
+    the closed form at composite, tiny and large moduli; the table covers
+    the heights n = r mod 6."""
+    for m in (5, 11, 17, 23):
+        for label in case_labels():
+            plan = plan_for(label, m)
+            yield ("plan:" + label, m, plan.r_value, plan_table(plan),
+                   plan_crank(plan))
+    for m in (1, 2, 3, 4, 6, 7, 12, 71, 83):
+        yield "closed", m, 2, closed_form_table(), ehrhart_crank_closed_form
+
+
+def _enumerated(n, m, crank):
+    try:
+        return histogram(n, m, crank)
+    except ValueError:
+        return None
+
+
+def test_table_histograms_match_enumeration():
+    for name, m, r, table, crank in _tables():
+        assert all(a2 - a1 in (-1, 0, 1) for a1, a2, _, _ in table.values())
+        for n in range(151):
+            got = table_histogram(n, m, table)
+            assert got == _enumerated(n, m, crank), (name, m, n)
+            # |mu| = n mod 6, and a table holds every remainder of its class
+            assert (got is None) == (n >= 3 and (n - r) % 6 != 0), (name, n)
+
+
+def test_plan_table_reads_the_whole_eta():
+    # the other axis and a constant term: no shipped plan reads either
+    for label in case_labels():
+        plan = plan_for(label, 5)
+        e1, e2, _ = plan.eta
+        other = RectanglePlan(label, plan.r_value, 5, plan.ell1, plan.ell2,
+                              plan.k_offset, plan.placements,
+                              eta=(e2, e1, 4), delta=plan.delta)
+        for n in range(3, 151):
+            assert (table_histogram(n, 5, plan_table(other))
+                    == _enumerated(n, 5, plan_crank(other))), (label, n)
+
+
+@pytest.mark.parametrize("name,m", [("plan:2m-2", 5), ("plan:-(2m+1)", 11),
+                                    ("plan:0", 17), ("closed", 7)])
+def test_table_histogram_sees_a_shifted_constant(name, m):
+    table, crank = next((t, c) for nm, mm, _, t, c in _tables()
+                        if (nm, mm) == (name, m))
+    for mu, (a1, a2, a3, c) in table.items():
+        broken = dict(table)
+        broken[mu] = (a1, a2, a3, c + 1)
+        assert any(table_histogram(n, m, broken) != _enumerated(n, m, crank)
+                   for n in range(3, 151)), (name, m, mu)
+
+
+def test_table_histogram_rejects_bad_input():
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            table_histogram(10, m, closed_form_table())
+    with pytest.raises(ValueError, match="step 2"):
+        table_histogram(10, 5, {(6, 1, 1): (0, 2, 0, 0)})
+    assert table_histogram(2, 5, {}).counts == (0,) * 5
+    assert table_histogram(8, 5, {}) is None
 
 
 def test_rectangle_walk_kprime0():

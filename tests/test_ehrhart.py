@@ -17,6 +17,7 @@ from triparts.ehrhart import (
     h_star,
     h_star_from_gf,
     in_fundamental_box,
+    row_classes,
     tile_partition_triangle,
     triangle,
     v3_apply,
@@ -134,6 +135,20 @@ def test_check_box_bijection_counts():
     assert check_box_bijection(20) == 33
     total = sum(check_box_bijection(n) for n in range(200))
     assert total == sum(count_bruteforce(n) for n in range(200))
+
+
+def test_row_classes_cover_each_partition_once():
+    for n in range(-2, 120):
+        classes = list(row_classes(n))
+        assert len(classes) <= max(n, 0)
+        members = [(n - t - l2, l2, t) for t, first, steps in classes
+                   for l2 in range(first, first + 3 * steps + 1, 3)]
+        assert sorted(members) == sorted(enumerate_partitions(n)), n
+        for t, first, steps in classes:
+            mu, tau = box_decompose((n - t - first, first, t))
+            last = box_decompose((n - t - first - 3 * steps,
+                                  first + 3 * steps, t))
+            assert last == (mu, (tau[0] - steps, tau[1] + steps, tau[2]))
 
 
 def _floor_half_l3(lam):
