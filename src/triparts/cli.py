@@ -19,26 +19,26 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, repeat
+from itertools import accumulate, chain, cycle, repeat
 
 from . import __version__
 from .congruence import characterize, non_witnessed_residues
 from .cranks import (
-    c_ls,
+    c_ls,  # unused here; bench/test_bench.py traces this binding
     c_ls_histogram,
     c_ls_histograms,
     case_labels,
     closed_form_table,
-    cycle_decomposition,
     ehrhart_crank_closed_form,
-    histogram,
     is_uniform,
+    permutation_cycles,
     plan_crank,
     plan_for,
     plan_table,
+    row_permutation,
     table_histogram,
 )
-from .ehrhart import box_compose, box_decompose, h_star, h_star_from_gf, tile_partition_triangle
+from .ehrhart import box_compose, box_decompose, h_star, h_star_from_gf, row_classes
 from .partitions import check_partition
 from .quasipoly import _METHODS, evaluate
 
@@ -175,8 +175,12 @@ def cmd_histogram(args):
             crank, table = plan_crank(plan), plan_table(plan)
             tag = "plan:%s" % plan.r_label
         hist = table_histogram(args.n, args.m, table)
-        if hist is None:  # an unplaced remainder: enumeration names it
-            hist = histogram(args.n, args.m, crank)
+        if hist is None:
+            # row_classes yields the class heads in enumeration order: the
+            # first unplaced one is the first partition the crank rejects
+            crank(next(lam for lam in ((args.n - t - first, first, t)
+                                       for t, first, _ in row_classes(args.n))
+                       if box_decompose(lam)[0] not in table), args.m)
     uniform = is_uniform(hist)
     _print_report("histogram",
                   {"n": args.n, "m": args.m, "crank": tag},
@@ -188,43 +192,58 @@ def cmd_histogram(args):
     return 0
 
 
-# `cycles` output from fixed templates, one write per cycle: byte for byte
-# what json.dumps(report, sort_keys=True, indent=2) and
-# csv.writer(lineterminator="\r\n") write for the same report and rows.
+# `cycles` output from fixed templates, one write per cycle, lambda3 (and
+# the CSV cycle index) fixed along a row run: byte for byte what json.dumps(
+# report, sort_keys=True, indent=2) and csv.writer(lineterminator="\r\n")
+# write for the same report and rows.
 _CYCLES_HEAD = ('{\n  "command": "cycles",\n  "inputs": {\n    "m": %d,\n'
                 '    "n": %d\n  },\n  "outcome": "success",\n'
                 '  "payload": {\n    "cycles": [\n')
-_CYCLE = ('      {\n        "cranks": [\n%s\n        ],\n'
+_CYCLE = ('%s      {\n        "cranks": [\n%s\n        ],\n'
           '        "length": %d,\n        "partitions": [\n%s\n'
           '        ]\n      }')
-_TRIPLE = ("          [\n            %d,\n            %d,\n"
+_TRIPLE = ("          [\n            %%d,\n            %%d,\n"
            "            %d\n          ]")
+_CSV_ROW = "%d,%%d,%%d,%%d,%d,%%d\r\n"
 _CYCLES_TAIL = '\n    ],\n    "lengths": [\n%s\n    ]\n  }\n}\n'
 
 
 def cmd_cycles(args):
-    m, as_json = args.m, args.format == "json"
-    cycles = cycle_decomposition(args.n, m).cycles  # checked before any write
+    n, m, as_json = args.n, args.m, args.format == "json"
+    if n < 3:
+        raise ValueError("no partitions of %d into three parts" % (n,))
+    row_cycles = permutation_cycles(row_permutation(n, m))  # checked first
     write = sys.stdout.write
-    write(_CYCLES_HEAD % (m, args.n) if as_json else
+    write(_CYCLES_HEAD % (m, n) if as_json else
           "cycle_index,position,lambda1,lambda2,lambda3,crank\r\n")
-    for ci, cyc in enumerate(cycles):
-        size = len(cyc)
-        # row_permutation asserted that every step raises c_ls by one mod m
-        c0 = c_ls(cyc[0], m)
-        cranks = [(c0 + pos) % m for pos in range(size)]
+    sizes = []
+    for ci, (t0, *rest) in enumerate(row_cycles):
+        # from the border (n-2t0, t0, t0), rows t1, .., t0 top down, the
+        # closing border dropped: runs (t, first l2, length).  Every step
+        # raises c_ls by one mod m (row_permutation), so m divides the size.
+        runs = [(t0, t0, 1)] + [(t, (n - t) // 2, (n - t) // 2 - t + (t != t0))
+                                for t in rest + [t0]]
+        c0, size = (n - 3 * t0) % m, sum(run[2] for run in runs)
+        sizes.append(size)
         if as_json:
-            write((",\n" if ci else "") + _CYCLE % (
-                ",\n".join(repeat("          %d", size)) % tuple(cranks),
-                size,
-                ",\n".join(repeat(_TRIPLE, size))
-                % tuple(chain.from_iterable(cyc))))
+            period = ",\n".join(["          %d" % c
+                                 for c in chain(range(c0, m), range(c0))])
+            write(_CYCLE % (",\n" if ci else "",
+                            ",\n".join(repeat(period, size // m)), size,
+                            ",\n".join(",\n".join(repeat(_TRIPLE % t, k))
+                                       % tuple(chain.from_iterable(zip(
+                                           range(n - t - l2, n - t - l2 + k),
+                                           range(l2, l2 - k, -1))))
+                                       for t, l2, k in runs if k)))
         else:
-            row = "%d,%%d,%%d,%%d,%%d,%%d\r\n" % ci
-            write(row * size % tuple(chain.from_iterable(
-                zip(range(size), *zip(*cyc), cranks))))
+            cranks = chain(range(c0, m), cycle(range(m)))
+            write("".join(_CSV_ROW % (ci, t) * k % tuple(chain.from_iterable(
+                zip(range(pos, pos + k), range(n - t - l2, n - t - l2 + k),
+                    range(l2, l2 - k, -1), cranks)))
+                for pos, (t, l2, k) in zip(
+                    accumulate((run[2] for run in runs), initial=0), runs)))
     if as_json:
-        write(_CYCLES_TAIL % ",\n".join(["      %d" % len(c) for c in cycles]))
+        write(_CYCLES_TAIL % ",\n".join(["      %d" % k for k in sizes]))
     return 0
 
 
@@ -278,55 +297,58 @@ _SVG_HEADER = ('<?xml version="1.0" encoding="UTF-8"?>\n'
                '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                'width="%d" height="%d" viewBox="0 0 %d %d">\n'
                '<title>%s</title>\n')
-_SVG_FOOTER = '</svg>\n'
+_CIRCLE = ('<circle cx="%%d" cy="%%d" r="%d"><title>%d+%%d+%%d</title>'
+           '</circle>\n')  # radius and l1 fixed along a run
+
+
+def _tiling_chunks(n):
+    """render_tiling_svg in chunks.  The box remainder mu of a partition of
+    n fixes l1 - l2 = mu1 - mu2 mod 6, so at each l1 the partitions with
+    remainder mu are a run of l2 stepping by -6: one chunk each."""
+    order = sorted({box_decompose((n - t - first, first, t))[0]
+                    for t, first, _ in row_classes(n)})
+    scale, radius, margin, legend_w = 18, 6, 40, 270
+    xmax = max((n - 1) // 2 - 1, 0)  # the largest l2 - l3, at l3 = 1
+    ymin, ymax = 1, max(n // 3, 1)  # the largest l3
+    width = 2 * margin + xmax * scale + legend_w
+    height = 2 * margin + (ymax - ymin) * scale
+    height = max(height, 2 * margin + 22 * max(1, len(order)))
+    yield _SVG_HEADER % (width, height, width, height,
+                         "partitions of %d into three parts, colored by box remainder" % n)
+    for gi, mu in enumerate(order):
+        color = "hsl(%d, 70%%, 45%%)" % ((gi * 360) // max(1, len(order)))
+        yield '<g fill="%s">\n' % color
+        size = 0
+        for l1 in range(n - 2, (n + 2) // 3 - 1, -1):
+            hi, lo = min(l1, n - l1 - 1), (n - l1 + 1) // 2
+            l2 = hi - (hi - l1 + mu[0] - mu[1]) % 6  # the run's largest l2
+            k = max(0, (l2 - lo) // 6 + 1)
+            l3, end, size = n - l1 - l2, 6 * k, size + k
+            cx, cy = margin + (l2 - l3) * scale, margin + (ymax - l3) * scale
+            yield _CIRCLE % (radius, l1) * k % tuple(chain.from_iterable(zip(
+                range(cx, cx - 2 * scale * end, -12 * scale),
+                range(cy, cy - scale * end, -6 * scale),
+                range(l2, l2 - end, -6), range(l3, l3 + end, 6))))
+        lx, ly = 2 * margin + xmax * scale + 20, margin + gi * 22
+        yield ('</g>\n<rect x="%d" y="%d" width="12" height="12" fill="%s"/>\n'
+               '<text x="%d" y="%d" font-family="monospace" font-size="13">'
+               'mu=(%d,%d,%d): %d partitions</text>\n'
+               % (lx, ly - 10, color, lx + 18, ly, mu[0], mu[1], mu[2], size))
+    yield '</svg>\n'
 
 
 def render_tiling_svg(n):
     """Deterministic SVG: partitions of n at (l2-l3, l3), one color per
     box remainder, with a legend of remainders and group sizes."""
-    groups = tile_partition_triangle(n)
-    order = sorted(groups)
-    scale = 18
-    radius = 6
-    margin = 40
-    xmax = max((lam[1] - lam[2] for lams in groups.values() for lam in lams),
-               default=0)
-    ymin = 1
-    ymax = max((lam[2] for lams in groups.values() for lam in lams), default=1)
-    legend_w = 270
-    width = 2 * margin + xmax * scale + legend_w
-    height = 2 * margin + (ymax - ymin) * scale
-    height = max(height, 2 * margin + 22 * max(1, len(order)))
-    lines = [_SVG_HEADER % (width, height, width, height,
-                            "partitions of %d into three parts, colored by box remainder" % n)]
-    for gi, mu in enumerate(order):
-        hue = (gi * 360) // max(1, len(order))
-        color = "hsl(%d, 70%%, 45%%)" % hue
-        lines.append('<g fill="%s">\n' % color)
-        for lam in groups[mu]:
-            cx = margin + (lam[1] - lam[2]) * scale
-            cy = margin + (ymax - lam[2]) * scale
-            lines.append('<circle cx="%d" cy="%d" r="%d"><title>%d+%d+%d</title></circle>\n'
-                         % (cx, cy, radius, lam[0], lam[1], lam[2]))
-        lines.append('</g>\n')
-        lx = 2 * margin + xmax * scale + 20
-        ly = margin + gi * 22
-        lines.append('<rect x="%d" y="%d" width="12" height="12" fill="%s"/>\n'
-                     % (lx, ly - 10, color))
-        lines.append('<text x="%d" y="%d" font-family="monospace" font-size="13">'
-                     'mu=(%d,%d,%d): %d partitions</text>\n'
-                     % (lx + 18, ly, mu[0], mu[1], mu[2], len(groups[mu])))
-    lines.append(_SVG_FOOTER)
-    return "".join(lines)
+    return "".join(_tiling_chunks(n))
 
 
 def cmd_tile(args):
     if args.n < 3:
         raise ValueError("need n >= 3 for a non-empty tiling, got %d" % args.n)
-    svg = render_tiling_svg(args.n)
     try:
         with open(args.path, "w", encoding="utf-8") as fp:
-            fp.write(svg)
+            fp.writelines(_tiling_chunks(args.n))
     except OSError as exc:
         raise ValueError("cannot write %s: %s" % (args.path, exc))
     return 0
@@ -372,7 +394,10 @@ def build_parser():
     p = sub.add_parser("histogram", help="crank histogram over P(n,3)")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.add_argument("--crank", choices=("cls", "closed", "plan"), default="cls")
+    p.add_argument("--crank", choices=("cls", "closed", "plan"), default="cls",
+                   help="plan and closed (the 2m-2 closed form) count at any "
+                        "height whose box remainders they place; uniform "
+                        "only at n = 6mk'+r'")
     p.add_argument("--r-prime", default="2m-2",
                    help="progression label for --crank plan (e.g. %s)"
                         % ", ".join(case_labels()))

@@ -139,6 +139,7 @@ def row_classes(n):
     A row class holds the partitions (n-t-l2, l2, t) with a fixed smallest
     part t and a fixed l2 mod 3, l2 = first, first+3, .., first+3*steps;
     every partition lies in exactly one class, and there are at most n.
+    The heads (n-t-first, first, t) come in decreasing (l1, l2) order.
     A step moves lam by (-3, 3, 0) = V3 (-1, 1, 0): l1-l2 drops by 6 and
     l2-l3 rises by 3, so mu stays fixed and tau moves by (-1, +1, 0).
     """

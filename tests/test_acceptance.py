@@ -7,9 +7,15 @@ partition-by-partition route would not fit the ceiling, and keep a
 per-partition sweep on an overlapping smaller range.
 """
 
+import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+
+import pytest
 
 from triparts import cli
 from triparts.congruence import is_divisible, residues_pos, verify_characterization
@@ -263,7 +269,7 @@ def test_15_cycles_export_streams(capsys):
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert code == 0
     assert sum(payload["lengths"]) == count_bruteforce(995)
-    assert elapsed < 0.4, elapsed
+    assert elapsed < 0.25, elapsed
 
 
 def test_16_plan_cranks_uniform_by_row_classes():
@@ -299,3 +305,82 @@ def test_17_crank_histograms_cost_the_row_classes(capsys):
         assert payload["uniform"] is True
         assert payload["total"] == count_bruteforce(int(argv[1]))
         assert elapsed < 0.05, (argv, elapsed)
+
+
+class _Sink:
+    """A stdout that keeps only how many lines went through it."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_18_crank_exports_stream_from_row_runs(tmp_path):
+    sink = _Sink()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(sink):
+        code = cli.main(["cycles", "4001", "5", "--format", "csv"])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert sink.lines == 1 + count_bruteforce(4001)
+    assert elapsed < 1.5, elapsed
+    target = tmp_path / "t2400.svg"
+    start = time.monotonic()
+    code = cli.main(["tile", "2400", str(target)])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    svg = target.read_text(encoding="utf-8")
+    assert svg.count("<circle") == count_bruteforce(2400)
+    assert elapsed < 1.0, elapsed
+
+
+# One CLI call in a fresh interpreter, stdout into a sink; prints how far
+# the call raised the peak RSS (VmHWM, KiB) above the imports.  VmHWM
+# starts afresh at exec, while getrusage's ru_maxrss keeps the high-water
+# mark of the process that forked the child.
+_PEAK_RSS_CHILD = """
+import contextlib, sys
+from triparts.cli import main
+
+class Sink:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+def peak_kib():
+    with open("/proc/self/status") as fp:
+        return int(next(line for line in fp
+                        if line.startswith("VmHWM:")).split()[1])
+
+before = peak_kib()
+with contextlib.redirect_stdout(Sink()):
+    code = main(sys.argv[1:])
+print(peak_kib() - before)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_19_crank_exports_in_bounded_memory(tmp_path):
+    # p(4001,3) = 1,334,000 members: the rows of one cycle at a time, never
+    # a tuple per member; the tile holds one run of one group at a time
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    for argv, ceiling_mib in (
+            (["cycles", "4001", "5", "--format", "csv"], 32),
+            (["cycles", "4001", "5", "--format", "json"], 32),
+            (["tile", "2400", str(tmp_path / "t2400.svg")], 8)):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                              capture_output=True, env=env, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert int(proc.stdout) <= ceiling_mib * 1024, (argv, proc.stdout)

@@ -12,7 +12,19 @@ import pytest
 from triparts import cranks
 from triparts.cli import main, render_tiling_svg
 from triparts.congruence import is_divisible
-from triparts.cranks import c_ls, cycle_decomposition, histogram
+from triparts.cranks import (
+    c_ls,
+    case_labels,
+    closed_form_table,
+    cycle_decomposition,
+    ehrhart_crank_closed_form,
+    histogram,
+    plan_crank,
+    plan_for,
+    plan_table,
+    table_histogram,
+)
+from triparts.ehrhart import tile_partition_triangle
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "docs", "cli-schema.json")
@@ -242,6 +254,57 @@ def test_histogram_closed_form(capsys):
                                           "total": 0}
 
 
+def test_histogram_errors_match_the_enumeration_route(capsys):
+    # where the table has no entry for a remainder, the CLI calls the crank
+    # on one row-class head; enumeration names the same partition
+    cases = [(m, ["--crank", "plan", "--r-prime=" + label],
+              plan_table(plan_for(label, m)), plan_crank(plan_for(label, m)))
+             for label in case_labels() for m in (5, 11, 17)]
+    cases += [(m, ["--crank", "closed"], closed_form_table(),
+               ehrhart_crank_closed_form) for m in (5, 11, 17)]
+    checked = 0
+    for n, (m, flags, table, crank) in [(n, case) for case in cases
+                                        for n in range(260)]:
+        if table_histogram(n, m, table) is not None:
+            continue
+        with pytest.raises(ValueError) as exc:
+            histogram(n, m, crank)
+        argv = ["histogram", str(n), str(m), *flags]
+        assert run(capsys, *argv) == (2, "", "error: %s\n" % exc.value), argv
+        checked += 1
+    assert checked == 6429
+
+
+_LIMITED = """
+import resource, sys, time
+limit = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from triparts.cli import main
+start = time.monotonic()
+code = main(sys.argv[1:])
+print(time.monotonic() - start)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("histogram", "100001", "5", "--crank", "closed"),
+    ("histogram", "100000", "5", "--crank", "plan"),
+])
+def test_histogram_errors_cost_the_row_classes(argv):
+    # enumerating P(n,3) here would need far more than the 1 GiB cap
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", _LIMITED, *argv],
+                          capture_output=True, env=env, text=True,
+                          timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "input too large" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert float(proc.stdout) < 0.2
+
+
 def test_cycles_csv(capsys):
     code, out, _ = run(capsys, "cycles", "22", "5", "--format", "csv")
     assert code == 0
@@ -305,6 +368,16 @@ def test_cycles_stream_matches_stdlib_encoders(capsys, fmt):
                              "--format", fmt)
         assert (code, err) == (0, "")
         assert out == _cycles_reference(n, m, fmt), (n, m)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n,m", [(1001, 5), (998, 83)])
+def test_long_cycles_match_stdlib_encoders(capsys, n, m, fmt):
+    # cycles that span hundreds of rows, each written from its row runs
+    assert max(map(len, cycle_decomposition(n, m).cycles)) > 10000
+    code, out, err = run(capsys, "cycles", str(n), str(m), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _cycles_reference(n, m, fmt)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True],
@@ -411,11 +484,57 @@ def test_tile_svg(tmp_path, capsys):
     assert render_tiling_svg(20) == svg
 
 
-def test_tile_rejects_tiny_n(capsys):
-    code, _, err = run(capsys, "tile", "2", "out.svg")
-    assert code == 2
-    assert err.startswith("error:")
-    assert err.count("\n") == 1 and err.endswith("\n")
+def _tiling_reference(n):
+    """render_tiling_svg through tile_partition_triangle, one partition at
+    a time."""
+    groups = tile_partition_triangle(n)
+    order = sorted(groups)
+    scale, radius, margin, legend_w = 18, 6, 40, 270
+    xmax = max((lam[1] - lam[2] for lams in groups.values() for lam in lams),
+               default=0)
+    ymin = 1
+    ymax = max((lam[2] for lams in groups.values() for lam in lams), default=1)
+    width = 2 * margin + xmax * scale + legend_w
+    height = max(2 * margin + (ymax - ymin) * scale,
+                 2 * margin + 22 * max(1, len(order)))
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             'width="%d" height="%d" viewBox="0 0 %d %d">\n<title>partitions '
+             'of %d into three parts, colored by box remainder</title>\n'
+             % (width, height, width, height, n)]
+    for gi, mu in enumerate(order):
+        color = "hsl(%d, 70%%, 45%%)" % ((gi * 360) // max(1, len(order)))
+        lines.append('<g fill="%s">\n' % color)
+        for lam in groups[mu]:
+            lines.append('<circle cx="%d" cy="%d" r="%d"><title>%d+%d+%d'
+                         '</title></circle>\n'
+                         % (margin + (lam[1] - lam[2]) * scale,
+                            margin + (ymax - lam[2]) * scale, radius, *lam))
+        lines.append('</g>\n')
+        lx, ly = 2 * margin + xmax * scale + 20, margin + gi * 22
+        lines.append('<rect x="%d" y="%d" width="12" height="12" fill="%s"/>'
+                     '\n' % (lx, ly - 10, color))
+        lines.append('<text x="%d" y="%d" font-family="monospace" '
+                     'font-size="13">mu=(%d,%d,%d): %d partitions</text>\n'
+                     % (lx + 18, ly, *mu, len(groups[mu])))
+    lines.append('</svg>\n')
+    return "".join(lines)
+
+
+def test_tile_matches_the_enumeration_route(tmp_path, capsys):
+    for n in [*range(301), 600]:
+        assert render_tiling_svg(n) == _tiling_reference(n), n
+    target = tmp_path / "t600.svg"
+    assert run(capsys, "tile", "600", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == _tiling_reference(600)
+
+
+def test_tile_rejects_tiny_n(tmp_path, capsys):
+    target = tmp_path / "out.svg"
+    for n in (-1, 0, 1, 2):
+        assert run(capsys, "tile", str(n), str(target)) == (
+            2, "", "error: need n >= 3 for a non-empty tiling, got %d\n" % n)
+        assert not target.exists()
 
 
 def test_unwritable_paths_are_input_errors(tmp_path, capsys):

@@ -144,6 +144,10 @@ def test_row_classes_cover_each_partition_once():
         members = [(n - t - l2, l2, t) for t, first, steps in classes
                    for l2 in range(first, first + 3 * steps + 1, 3)]
         assert sorted(members) == sorted(enumerate_partitions(n)), n
+        # each head is the first of its class in enumeration order, and the
+        # heads come in that order too
+        heads = [(n - t - first, first, t) for t, first, _ in classes]
+        assert heads == sorted(heads, reverse=True), n
         for t, first, steps in classes:
             mu, tau = box_decompose((n - t - first, first, t))
             last = box_decompose((n - t - first - 3 * steps,
