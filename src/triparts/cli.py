@@ -49,7 +49,8 @@ def _print_report(command, inputs, outcome, payload):
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-# The brute counter is O(n): about half a second at this height.
+# The brute counter is O(n), two C-level range sums over the rows: under
+# 0.1 s at this height.  Raising the cap would change `count` stdout.
 _BRUTE_MAX_N = 10 ** 7
 
 

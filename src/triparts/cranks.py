@@ -30,6 +30,7 @@ from .ehrhart import (
     v3_apply,
 )
 from .partitions import column_multiplicities, enumerate_partitions
+from .quasipoly import p3_nearest
 
 # ---------------------------------------------------------------------------
 # c_ls and histograms
@@ -62,34 +63,33 @@ def is_uniform(hist):
 
 
 def c_ls_histogram(n, m):
-    """The c_ls histogram of P(n,3) without enumerating partitions.
+    """The c_ls histogram of P(n,3) without enumerating partitions: O(m).
 
-    Row t (smallest part t = 1 .. n//3) holds one partition for each
-    difference l1 - l3 in the interval n-2t-h .. n-3t, h = (n-t)//2, of
-    length L = h - t + 1.  The row adds L // m to every class and one more
-    to a run of L % m classes that starts at the interval's start mod m
-    and wraps; the runs go into a difference array, summed once at the
-    end: O(n/3 + m).  Cross-checked against histogram(n, m, c_ls) in the
-    test suite.
+    Row t (smallest part t = 1 .. n//3) is the run G_k, k = n - 3t, of
+    differences l1 - l3 = ceil(k/2) .. k.  Mod m its cyclic difference
+    array is +1 at ceil(k/2) and -1 at k + 1, whatever its length.  Over
+    the rows the ends k + 1 form one progression of step -3, and the
+    starts two, one per parity of t.  The residues of K terms of step -3
+    repeat every m terms (their orbit's period m / gcd(3, m) divides m),
+    so term j < m lands K // m times, once more if j < K % m.  Prefix
+    sums give the counts up to a constant, which the total p(n,3) fixes.
+    Cross-checked against histogram(n, m, c_ls) in the test suite.
     """
     if m <= 0:
         raise ValueError("modulus must be positive, got %r" % (m,))
-    full = 0
-    diff = [0] * (m + 1)  # diff[m] takes the ends of runs that stop at m
-    for t in range(1, n // 3 + 1):
-        h = (n - t) // 2
-        q, r = divmod(h - t + 1, m)
-        full += q
-        if r:
-            s = (n - 2 * t - h) % m
-            diff[s] += 1
-            if s + r <= m:
-                diff[s + r] -= 1
-            else:
-                diff[0] += 1
-                diff[s + r - m] -= 1
-    counts = [full + c for c in accumulate(diff[:m])]
-    return CrankHistogram(m, tuple(counts))
+    diff = [0] * m
+    rows = n // 3
+    for first, terms, sign in ((n - 2, rows, -1),
+                               ((n - 2) // 2, (rows + 1) // 2, 1),
+                               ((n - 5) // 2, rows // 2, 1)):
+        q, r = divmod(terms, m)
+        for j in range(min(terms, m)):
+            diff[(first - 3 * j) % m] += sign * (q + (j < r))
+    counts = list(accumulate(diff))
+    full, rest = divmod(p3_nearest(n) - sum(counts), m)
+    assert rest == 0, ("c_ls runs of P(%d,3) do not sum to p(n,3) mod %d"
+                       % (n, m))
+    return CrankHistogram(m, tuple(full + c for c in counts))
 
 
 def c_ls_histograms(m, n_max):

@@ -50,16 +50,15 @@ def enumerate_partitions(n):
 def count_bruteforce(n):
     """Number of partitions of n into three parts, by direct range counting.
 
-    Loops over the smallest part and counts the admissible middle parts;
-    no closed formula is used anywhere.
+    Row l3 (smallest part 1 .. n//3) has (n - l3)//2 - l3 + 1 middle parts
+    l2 = l3 .. (n - l3)//2.  Two rows of the same parity of l3 differ by
+    exactly 3, so each parity's rows are one range, summed in C; every row
+    is still visited and no closed formula is used anywhere.  Rows 1 ..
+    n//3 have at least one middle part each, and the first row of either
+    parity past n//3 counts 0 or less, so each range stops at its last
+    positive term.
     """
-    total = 0
-    for l3 in range(1, n // 3 + 1):
-        # l2 ranges over l3 .. (n - l3) // 2, each giving l1 = n - l3 - l2 >= l2
-        hi = (n - l3) // 2
-        if hi >= l3:
-            total += hi - l3 + 1
-    return total
+    return sum(range((n - 1) // 2, 0, -3)) + sum(range((n - 4) // 2, 0, -3))
 
 
 def column_multiplicities(lam):

@@ -384,3 +384,46 @@ def test_19_crank_exports_in_bounded_memory(tmp_path):
                               timeout=60)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
         assert int(proc.stdout) <= ceiling_mib * 1024, (argv, proc.stdout)
+
+
+# The rows of each parity of the smallest part form progressions of step
+# -3, so `histogram` costs O(m) at any n and the brute counter is two
+# range sums; n = 10**15 has 3.3e14 rows.
+_HUGE_HISTOGRAM_CHILD = """
+import contextlib, io, json, sys
+from triparts.cli import main
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["histogram", "1000000000000000", "5"])
+print(json.loads(out.getvalue())["payload"]["total"])
+sys.exit(code)
+"""
+
+
+def test_20_row_sums_in_constant_time_per_parity(capsys):
+    start = time.monotonic()
+    code = cli.main(["count", "10000000"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert code == 0
+    assert payload["consistent"] is True
+    assert payload["values"]["brute"] == p3_nearest(10 ** 7)
+    assert elapsed < 0.25, elapsed
+    start = time.monotonic()
+    code = cli.main(["histogram", "1000000", "5"])
+    elapsed = time.monotonic() - start
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert code == 0
+    assert payload["total"] == p3_nearest(10 ** 6)
+    assert elapsed < 0.02, elapsed
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", _HUGE_HISTOGRAM_CHILD],
+                          capture_output=True, env=env, text=True,
+                          timeout=10)
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) == p3_nearest(10 ** 15)
+    assert elapsed < 1.0, elapsed

@@ -424,6 +424,13 @@ def test_failed_internal_check_is_a_verification_failure(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: internal check failed:")
     assert err.count("\n") == 1
+    # a total that is not the c_ls runs' sum plus a multiple of m
+    p3_nearest = cranks.p3_nearest
+    monkeypatch.setattr(cranks, "p3_nearest", lambda n: p3_nearest(n) + 1)
+    code, out, err = run(capsys, "histogram", "22", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: internal check failed:")
+    assert err.count("\n") == 1
 
 
 def test_rectangle_report(capsys):
@@ -627,6 +634,26 @@ GOLDEN_STDOUT = [
 ]
 
 
+# Exit code and sha256 of stdout, recorded before c_ls histograms and the
+# brute counter were summed by progressions of rows: 3 | m, a height below
+# three, a non-uniform histogram, a count near the benchmark's query
+# sizes, and one just above the brute counter's cap.
+GOLDEN_ROW_SUMS = [
+    (("histogram", "18853", "11"), 0,
+     "3e19336548e06a4add15c2fcc788c3d70a6d2cb4c617a4677720fed96bc19bff"),
+    (("histogram", "999", "9"), 0,
+     "693f234d745eef7a9030559106ea7c73982d31ec33fca179aa118dfbaf9f385c"),
+    (("histogram", "2", "5"), 0,
+     "2918460f81ddf883bacc97fcaa23ec21980e1fb22c0e3b81e61065d8c6ae78ee"),
+    (("histogram", "1000", "5", "--expect-uniform"), 1,
+     "336d753ae6ff65681cb03f7f0c19b65e13085c1450109c0711155c8e5b53aabf"),
+    (("count", "195977"), 0,
+     "f40e490f6aaf499f7193e16f5d29a630c36e4b2eea448b656aa96f7db7ee7073"),
+    (("count", "10000001"), 0,
+     "6c1430f2b24a7e6c84093d1490e5fdfb52a191c3e77bb7e528979ab5e4916ffc"),
+]
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -636,6 +663,14 @@ def _sha256(text):
 def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN_ROW_SUMS,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN_ROW_SUMS])
+def test_golden_row_sums(capsys, argv, exit_code, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
     assert _sha256(out) == digest
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -62,11 +64,41 @@ def test_histogram_totals():
 
 
 def test_fast_histogram_matches_enumeration():
-    # m < 3 are the degenerate classes; runs wrap for m = 97, and m = 500
+    # m < 3 are the degenerate classes; 3 | m shortens the orbit of the
+    # step -3 progressions to m/3; runs wrap for m = 97 and 99, and m = 500
     # exceeds every difference
-    for m in (1, 2, 3, 5, 7, 11, 97, 500):
-        for n in range(0, 400):
+    for m in (1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 97, 99, 500):
+        for n in range(-3, 401):
             assert c_ls_histogram(n, m) == histogram(n, m, c_ls), (n, m)
+
+
+def _c_ls_histogram_by_rows(n, m):
+    # one wrapping run per row of constant smallest part: O(n/3 + m)
+    full = 0
+    diff = [0] * (m + 1)
+    for t in range(1, n // 3 + 1):
+        h = (n - t) // 2
+        q, r = divmod(h - t + 1, m)
+        full += q
+        if r:
+            s = (n - 2 * t - h) % m
+            diff[s] += 1
+            if s + r <= m:
+                diff[s + r] -= 1
+            else:
+                diff[0] += 1
+                diff[s + r - m] -= 1
+    return tuple(full + c for c in accumulate(diff[:m]))
+
+
+def test_fast_histogram_matches_the_row_loop_at_large_n():
+    rng = random.Random(15)
+    heights = [10 ** 6] + [6 * rng.randrange(10 ** 6 // 6) + r
+                           for r in range(6)]
+    for n in heights:
+        for m in (5, 7, 9, 97, 1001):
+            assert c_ls_histogram(n, m).counts == _c_ls_histogram_by_rows(
+                n, m), (n, m)
 
 
 def test_row_histogram_rejects_bad_modulus():

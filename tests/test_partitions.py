@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +23,31 @@ def test_enumeration_order_n9():
 
 def test_small_counts():
     assert [count_bruteforce(n) for n in range(10)] == [0, 0, 0, 1, 1, 2, 3, 4, 5, 7]
+
+
+def test_count_matches_enumeration():
+    for n in range(601):
+        assert count_bruteforce(n) == len(enumerate_partitions(n)), n
+
+
+def _count_by_rows(n):
+    total = 0
+    for l3 in range(1, n // 3 + 1):
+        hi = (n - l3) // 2
+        if hi >= l3:
+            total += hi - l3 + 1
+    return total
+
+
+def test_count_matches_the_row_loop():
+    for n in range(-3, 3001):
+        assert count_bruteforce(n) == _count_by_rows(n), n
+    # every n mod 6, up to the largest height `count` runs it for
+    rng = random.Random(15)
+    heights = [10 ** 7] + [6 * rng.randrange(10 ** 7 // 6) + r
+                           for r in range(6)]
+    for n in heights:
+        assert count_bruteforce(n) == _count_by_rows(n), n
 
 
 def test_empty_below_three():
