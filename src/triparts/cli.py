@@ -2,15 +2,16 @@
 
 Subcommands: count, decompose, hstar, residues, verify, histogram,
 cycles, rectangle, tile.  JSON goes to stdout wrapped in a fixed report
-envelope (documented in docs/cli-schema.json); `decompose` emits the bare
-{"mu": ..., "tau": ...} object.  CSV uses CRLF line endings with fixed
-column orders.  Exit codes: 0 success, 1 verification failure, 2 input
-error or a stdout closed before all output was written (one `error:` line
-on stderr, no traceback).  A failed internal proof check (an
-AssertionError, such as row_permutation finding a border jump that does
-not raise c_ls by one) is a verification failure: exit 1, nothing on
-stdout, one `error: internal check failed: ...` line on stderr.  All output
-is deterministic for identical inputs.
+envelope (documented in docs/cli-schema.json) and written byte for byte as
+json.dumps(report, sort_keys=True, indent=2) would write it; `decompose`
+emits the bare {"mu": ..., "tau": ...} object.  CSV uses CRLF line
+endings with fixed column orders.  Exit codes: 0 success, 1 verification
+failure, 2 input error or a stdout closed before all output was written
+(one `error:` line on stderr, no traceback).  A failed internal proof
+check (an AssertionError, such as row_permutation finding a border jump
+that does not raise c_ls by one) is a verification failure: exit 1,
+nothing on stdout, one `error: internal check failed: ...` line on
+stderr.  All output is deterministic for identical inputs.
 """
 
 import argparse
@@ -20,9 +21,10 @@ import json
 import os
 import sys
 from itertools import accumulate, chain, cycle, repeat
+from json.encoder import encode_basestring_ascii as encode_str
 
 from . import __version__
-from .congruence import characterize, non_witnessed_residues
+from .congruence import _non_witnessed, characterize
 from .cranks import (
     c_ls,  # unused here; bench/test_bench.py traces this binding
     c_ls_histogram,
@@ -43,10 +45,34 @@ from .partitions import check_partition
 from .quasipoly import _METHODS, evaluate
 
 
+def _render(doc, indent="\n"):
+    """json.dumps(doc, sort_keys=True, indent=2), byte for byte, from the
+    C-level leaf encoders: any indent sends json.dumps to its pure-Python
+    encoder.  int.__repr__ keeps its limit on digits (ValueError)."""
+    if isinstance(doc, str):
+        return encode_str(doc)
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        text = ("," + inner).join([
+            encode_str(key) + ": " + _render(doc[key], inner)
+            for key in sorted(doc)])
+        return "{" + inner + text + indent + "}" if text else "{}"
+    if isinstance(doc, (list, tuple)):
+        text = ("," + inner).join(
+            map(int.__repr__, doc) if set(map(type, doc)) == {int}
+            else [_render(item, inner) for item in doc])
+        return "[" + inner + text + indent + "]" if text else "[]"
+    if type(doc) is int:
+        return int.__repr__(doc)
+    if doc is None or doc is True or doc is False:
+        return "null" if doc is None else "true" if doc else "false"
+    return json.dumps(doc)  # floats and int subclasses
+
+
 def _print_report(command, inputs, outcome, payload):
     doc = {"command": command, "inputs": inputs, "outcome": outcome,
            "payload": payload}
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(_render(doc))
 
 
 # The brute counter is O(n), two C-level range sums over the rows: under
@@ -107,7 +133,7 @@ def cmd_residues(args):
         "sqrt_minus3": list(ch.sqrt_minus3) if ch.sqrt_minus3 else None,
     }
     if ch.family == "plus_one":
-        payload["non_witnessed"] = sorted(non_witnessed_residues(args.m))
+        payload["non_witnessed"] = sorted(_non_witnessed(ch))
     _print_report("residues", {"m": args.m}, "success", payload)
     return 0
 
@@ -117,9 +143,8 @@ def cmd_verify(args):
     n_max = args.max_n if args.max_n is not None else 60 * args.m
     if n_max < 0:
         raise ValueError("--max-n must be non-negative, got %d" % n_max)
-    witnessed_skip = frozenset()
-    if ch.family == "plus_one":
-        witnessed_skip = non_witnessed_residues(args.m)
+    witnessed_skip = (_non_witnessed(ch) if ch.family == "plus_one"
+                      else frozenset())
     # One pass: sum(hist) = p(n,3) gives the actual divisibility, the
     # spread of hist the uniformity.  On a mismatch the sweep stops and
     # reports no uniformity findings.
@@ -360,7 +385,8 @@ def build_parser():
     """The argument parser, built on the first call and shared after it.
 
     Parsing leaves it unchanged: no argument has a mutable default, and
-    argparse makes each help formatter when it prints.
+    argparse makes each help formatter when it prints.  `commands` maps
+    each subcommand name to that subcommand's parser.
     """
     parser = argparse.ArgumentParser(
         prog="triparts",
@@ -429,12 +455,27 @@ def build_parser():
     p.add_argument("path")
     p.set_defaults(fn=cmd_tile)
 
+    parser.commands = sub.choices
     return parser
 
 
-def main(argv=None):
+def _parse_args(argv):
+    """build_parser().parse_args(argv) at about half the cost: the named
+    subcommand's parser, unless "--=x" (ambiguous at the top level)."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None or any(arg.startswith("--=") for arg in argv):
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:],
+                                        argparse.Namespace(cmd=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
+
+
+def main(argv=None):
+    args = _parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -133,9 +133,14 @@ def non_witnessed_residues(mp):
     On these two classes the divisibility holds but the largest-minus-
     smallest statistic does not split the partitions evenly.
     """
-    roots = sqrt_minus3(mp)
-    period = 6 * mp
-    return frozenset(_pm_closure((3 * mp + roots[0] * (mp - 1),), period))
+    return _non_witnessed(residues_pos(mp))
+
+
+def _non_witnessed(ch):
+    """non_witnessed_residues from a plus_one characterization ch; the
+    CLI's residues and verify call it with the ch they already hold."""
+    mp, s = ch.modulus, ch.sqrt_minus3[0]
+    return _pm_closure((3 * mp + s * (mp - 1),), ch.period)
 
 
 def verify_characterization(m, n_max):

@@ -10,7 +10,6 @@ returns 0 for n < 3.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .ehrhart import h_star
 from .partitions import count_bruteforce
@@ -78,25 +77,22 @@ def p3_binomial(n: int) -> int:
 
 
 def p3_circulator(n: int) -> int:
-    """Circulator form, evaluated over exact rationals.
+    """Circulator form, evaluated in exact integers.
 
     p(n,3) = (n^2 - 7/6)/12 - (-1)^n / 8 + w(n)/9 where the root-of-unity
-    sum w(n) is 2 when 3 | n and -1 otherwise.  The rational total has
-    denominator dividing 72 and must come out integral.
+    sum w(n) is 2 when 3 | n and -1 otherwise.  Over the common
+    denominator 72 the numerator is 6n^2 - 7 - 9(-1)^n + 8w(n), which
+    72 must divide.
     """
     if n < 3:
         return 0
     w = 2 if n % 3 == 0 else -1
     sign = -1 if n % 2 else 1
-    total = (
-        Fraction(n * n, 12)
-        - Fraction(7, 72)
-        - Fraction(sign, 8)
-        + Fraction(w, 9)
-    )
-    if total.denominator != 1:
-        raise ArithmeticError("circulator value is not integral at n=%d: %s" % (n, total))
-    return total.numerator
+    value, rest = divmod(6 * n * n - 7 - 9 * sign + 8 * w, 72)
+    if rest:
+        raise ArithmeticError("circulator value is not integral at n=%d: "
+                              "%d/72" % (n, 72 * value + rest))
+    return value
 
 
 # The method registry; its order is the order the CLI lists the choices in.

@@ -8,9 +8,10 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
-from triparts import cranks
-from triparts.cli import main, render_tiling_svg
+from triparts import cli, cranks
+from triparts.cli import build_parser, main, render_tiling_svg
 from triparts.congruence import is_divisible
 from triparts.cranks import (
     c_ls,
@@ -37,6 +38,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_exit(capsys, *argv):
+    """run(), with an argparse exit read as its code, as a process ends."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 def check_schema(out):
@@ -631,6 +641,55 @@ GOLDEN_STDOUT = [
      "511490b4ce94a4bd094b54f1101908e1169fdabdb316ce35213e6c38d6684bd9"),
     (("rectangle", "5", "20", "--", "-2"),
      "3a689d474a47ddc0e3731739d21a3bb1274b238c17d46c2772c59b6a0aff6f73"),
+    # recorded before argv went straight to the subcommand's parser and
+    # reports to their own renderer: heights below three, one method, both
+    # families with large moduli, plus_one verify notes, a long int list
+    (("count", "2"),
+     "513eabc6bd2870eccb9428feeb7e32330722714221ea76314363bda5b42fd2d4"),
+    (("count", "5", "--method", "circulator"),
+     "6aff8144c1d101fb91605c4e22c238468bf4406ae52ed3ca10073f2003177860"),
+    (("residues", "6427"),
+     "8ebaffdc2aa673f2279f4492faed9a2022088bace5568541cdc9ed879d29e294"),
+    (("residues", "180007"),
+     "8b5c05307185ca14ef75e4e39084aa2e1a6a47024877f5b9fec95795ef36618e"),
+    (("verify", "13", "--max-n", "400"),
+     "fce431bb2a34400b49d6a138c48311d6ca205de0f065acc9310b7ec90b8c8282"),
+    (("histogram", "18853", "97"),
+     "9fa8f0e7481056460f42fbf7af5bc144a261245c1bcd07a69b494f9d58d9c4d9"),
+]
+
+
+_NINES = "9" * 2200  # p(n,3) then has more than 4300 digits
+
+# Exit code, sha256 of stdout and sha256 of stderr (usage wrapped at 80
+# columns), recorded with the same parent: argparse errors from the top
+# level and from a subcommand, an option abbreviation, "--" before a
+# negative label, a "--opt=value" form, and a value too long to print.
+GOLDEN_EXITS = [
+    (("residues", "5", "--bogus"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "c34349a6bced09a7306fb11bc35fef6e8a9558eec1d7370dea6b00b15a49f0ef"),
+    (("count",), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "138d105f39e0f5859b082caa1e228edc8144f1718b6589138608b12ff3e319ac"),
+    (("histogram", "22"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "d3bb3b07f7b746eb5e1658e13be346ce18ef5a8749973729e26b026632e34cca"),
+    (("count", "5", "--version"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e9c24af88235f3f62033fa26e26c13c1dee2f1796efcf8f64533b69b0e049355"),
+    (("verify", "5", "--max", "40"), 0,
+     "563e097d7279b8adf8f2a01657ef7d2c44b525b4f45c9faebafb195f47c0a665",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("rectangle", "5", "3", "--", "-1"), 0,
+     "270a8ef4424ed6c59a6e8017849917a321d4f615e51f78b891ae3fee7ba6aa24",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("histogram", "996", "83", "--r-prime=0", "--crank", "plan"), 0,
+     "977e2b594ca99b0080de80ec6b8f2ac1e21bbf19976962f0eff50b386ee02d45",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("count", _NINES), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "1132317b5f48e6921441bed3ae25f262a4a8b505cd54166c0df9acefe2573bd1"),
 ]
 
 
@@ -664,6 +723,16 @@ def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("argv,exit_code,out_digest,err_digest", GOLDEN_EXITS,
+                         ids=[" ".join(a)[:40] for a, _, _, _ in GOLDEN_EXITS])
+def test_golden_exits(capsys, monkeypatch, argv, exit_code, out_digest,
+                      err_digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+    code, out, err = run_exit(capsys, *argv)
+    assert code == exit_code
+    assert (_sha256(out), _sha256(err)) == (out_digest, err_digest), err
 
 
 @pytest.mark.parametrize("argv,exit_code,digest", GOLDEN_ROW_SUMS,
@@ -722,3 +791,94 @@ def test_golden_tile_svg(tmp_path, capsys):
     assert code == 0 and out == ""
     assert hashlib.sha256(target.read_bytes()).hexdigest() == (
         "932c571721cdd116ee488e84823151d2362e17e1e9389a0657b57fd5243129b3")
+
+
+# Keys and strings with quotes, backslashes, control and non-ASCII
+# characters; ints of every size, bools mixed into int lists.
+_TEXT = st.text(st.sampled_from('az "\\/\b\n\t\x00\x1f\x7f\u00e9\u2028'
+                                '\U0001f600')) | st.text()
+_BIG = st.tuples(st.integers(100, 400), st.integers(-9, 9)).map(
+    lambda p: p[1] * 10 ** p[0] - p[1])
+_INTS = st.lists(st.integers() | _BIG)
+_LEAVES = (st.none() | st.booleans() | st.integers() | _BIG | st.floats()
+           | _TEXT | _INTS | st.lists(st.integers() | st.booleans())
+           | _INTS.map(tuple))
+_DOCS = st.recursive(_LEAVES, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4)), max_leaves=20)
+
+
+@given(_DOCS)
+def test_render_matches_stdlib_json(doc):
+    assert cli._render(doc) == _stdlib(doc)
+
+
+def _encoded(encode, doc):
+    """encode(doc), or the message of the ValueError it raises."""
+    try:
+        return encode(doc)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def _stdlib(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_render_keeps_the_digit_limit():
+    for doc in ([10 ** 4300], {"n": -(10 ** 4300)}, [True, 10 ** 4300]):
+        text = _encoded(cli._render, doc)
+        assert text.startswith("ValueError: Exceeds the limit (4300 digits)")
+        assert text == _encoded(_stdlib, doc)
+
+
+_GOLDEN_ARGVS = ([argv for argv, _ in GOLDEN_STDOUT]
+                 + [argv for argv, _, _ in GOLDEN_ROW_SUMS]
+                 + [argv for argv, _, _, _ in GOLDEN_EXITS])
+
+
+def test_golden_reports_match_stdlib_json(capsys, monkeypatch):
+    docs = []
+    print_report = cli._print_report
+    monkeypatch.setattr(cli, "_print_report", lambda *report: (
+        docs.append(report), print_report(*report)))
+    for argv in _GOLDEN_ARGVS:
+        run_exit(capsys, *argv)
+    assert len(docs) == 32  # all but decompose, cycles and argparse errors
+    for command, inputs, outcome, payload in docs:
+        doc = {"command": command, "inputs": inputs, "outcome": outcome,
+               "payload": payload}
+        assert _encoded(cli._render, doc) == _encoded(_stdlib, doc)
+
+
+# Beyond the golden lists: help, version and unknown names (which take the
+# top-level parser), "--opt=value" forms, and "--=" arguments, which the
+# top-level parser finds ambiguous before any subcommand parser runs.
+_DISPATCH_EXTRA = [
+    (), ("-h",), ("--version",), ("bogus", "5"), ("cou", "5"),
+    ("count", "-h"), ("hstar", "--help"), ("count", "--method=brute", "5"),
+    ("count", "5", "--method"), ("count", "5", "6"), ("count", "x"),
+    ("count", "5", "--=x"), ("hstar", "--=x"), ("count", "--", "--=x"),
+    ("residues", "5", "--bogus", "--", "7"), ("decompose", "3", "-1", "1"),
+    ("histogram", "22", "5", "--crank", "nope"), ("verify", "5", "--max"),
+]
+
+
+@pytest.mark.parametrize("argv", _GOLDEN_ARGVS + _DISPATCH_EXTRA,
+                         ids=lambda argv: " ".join(argv)[:40] or "(none)")
+def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    fast = run_exit(capsys, *argv)
+    try:
+        reference_args = vars(parser.parse_args(list(argv)))
+    except SystemExit:
+        reference_args = None
+    try:
+        fast_args = vars(cli._parse_args(list(argv)))
+    except SystemExit:
+        fast_args = None
+    capsys.readouterr()
+    assert fast_args == reference_args
+    monkeypatch.setattr(cli, "_parse_args", parser.parse_args)
+    assert fast == run_exit(capsys, *argv)
