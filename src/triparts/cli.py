@@ -26,6 +26,7 @@ from json.encoder import encode_basestring_ascii as encode_str
 from . import __version__
 from .congruence import _non_witnessed, characterize
 from .cranks import (
+    _cycle_runs,
     c_ls,  # unused here; bench/test_bench.py traces this binding
     c_ls_histogram,
     c_ls_histograms,
@@ -33,14 +34,13 @@ from .cranks import (
     closed_form_table,
     ehrhart_crank_closed_form,
     is_uniform,
-    permutation_cycles,
     plan_crank,
     plan_for,
     plan_table,
-    row_permutation,
     table_histogram,
 )
-from .ehrhart import box_compose, box_decompose, h_star, h_star_from_gf, row_classes
+from .ehrhart import (box_compose, box_decompose, fundamental_points,
+                      h_star, h_star_from_gf)
 from .partitions import check_partition
 from .quasipoly import _METHODS, evaluate
 
@@ -72,7 +72,12 @@ def _render(doc, indent="\n"):
 def _print_report(command, inputs, outcome, payload):
     doc = {"command": command, "inputs": inputs, "outcome": outcome,
            "payload": payload}
-    print(_render(doc))
+    try:
+        text = _render(doc)
+    except ValueError:  # an int past the interpreter's digit limit
+        raise ValueError("input too large: a result has more than %d digits"
+                         % sys.get_int_max_str_digits())
+    print(text)
 
 
 # The brute counter is O(n), two C-level range sums over the rows: under
@@ -202,11 +207,9 @@ def cmd_histogram(args):
             tag = "plan:%s" % plan.r_label
         hist = table_histogram(args.n, args.m, table)
         if hist is None:
-            # row_classes yields the class heads in enumeration order: the
-            # first unplaced one is the first partition the crank rejects
-            crank(next(lam for lam in ((args.n - t - first, first, t)
-                                       for t, first, _ in row_classes(args.n))
-                       if box_decompose(lam)[0] not in table), args.m)
+            # the table places no partition of n (table_histogram): the
+            # crank names the first one the enumeration would reject
+            crank((args.n - 2, 1, 1), args.m)
     uniform = is_uniform(hist)
     _print_report("histogram",
                   {"n": args.n, "m": args.m, "crank": tag},
@@ -236,20 +239,15 @@ _CYCLES_TAIL = '\n    ],\n    "lengths": [\n%s\n    ]\n  }\n}\n'
 
 def cmd_cycles(args):
     n, m, as_json = args.n, args.m, args.format == "json"
-    if n < 3:
-        raise ValueError("no partitions of %d into three parts" % (n,))
-    row_cycles = permutation_cycles(row_permutation(n, m))  # checked first
+    cycle_runs = _cycle_runs(n, m)  # checked before the first byte
     write = sys.stdout.write
     write(_CYCLES_HEAD % (m, n) if as_json else
           "cycle_index,position,lambda1,lambda2,lambda3,crank\r\n")
     sizes = []
-    for ci, (t0, *rest) in enumerate(row_cycles):
-        # from the border (n-2t0, t0, t0), rows t1, .., t0 top down, the
-        # closing border dropped: runs (t, first l2, length).  Every step
-        # raises c_ls by one mod m (row_permutation), so m divides the size.
-        runs = [(t0, t0, 1)] + [(t, (n - t) // 2, (n - t) // 2 - t + (t != t0))
-                                for t in rest + [t0]]
-        c0, size = (n - 3 * t0) % m, sum(run[2] for run in runs)
+    for ci, runs in enumerate(cycle_runs):
+        # the first run is the border (n-2t, t, t), of c_ls n - 3t; every
+        # step raises c_ls by one mod m, so m divides the size
+        c0, size = (n - 3 * runs[0][0]) % m, sum(run[2] for run in runs)
         sizes.append(size)
         if as_json:
             period = ",\n".join(["          %d" % c
@@ -328,11 +326,12 @@ _CIRCLE = ('<circle cx="%%d" cy="%%d" r="%d"><title>%d+%%d+%%d</title>'
 
 
 def _tiling_chunks(n):
-    """render_tiling_svg in chunks.  The box remainder mu of a partition of
-    n fixes l1 - l2 = mu1 - mu2 mod 6, so at each l1 the partitions with
-    remainder mu are a run of l2 stepping by -6: one chunk each."""
-    order = sorted({box_decompose((n - t - first, first, t))[0]
-                    for t, first, _ in row_classes(n)})
+    """render_tiling_svg in chunks.  P(n,3) has the box remainders mu with
+    |mu| <= n, |mu| = n mod 6 (|V3 tau| = 6 |tau|).  mu fixes l1 - l2 mod 6,
+    so at each l1 its partitions are a run of l2 stepping by -6: one chunk
+    each."""
+    order = sorted(mu for h, pts in fundamental_points().items()
+                   if h <= n and (n - h) % 6 == 0 for mu in pts)
     scale, radius, margin, legend_w = 18, 6, 40, 270
     xmax = max((n - 1) // 2 - 1, 0)  # the largest l2 - l3, at l3 = 1
     ymin, ymax = 1, max(n // 3, 1)  # the largest l3

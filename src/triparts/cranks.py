@@ -18,7 +18,7 @@ primes m with m % 6 == 5:
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 
 from .congruence import residues_neg
 from .ehrhart import (
@@ -62,6 +62,20 @@ def is_uniform(hist):
     return len(set(hist.counts)) <= 1
 
 
+def _from_cyclic_diff(diff, total, m):
+    """Class sizes from a cyclic difference array and the total size.
+
+    A run of L classes from s is +1 at s and -1 at (s + L) mod m, one class
+    of weight w +w at s and -w at (s + 1) mod m.  Prefix sums are then off
+    by whole laps (a run that wraps, or has L >= m): one constant for all
+    classes, which the total fixes exactly.
+    """
+    counts = list(accumulate(diff))
+    full, rest = divmod(total - sum(counts), m)
+    assert rest == 0, "runs do not sum to %d mod %d" % (total, m)
+    return CrankHistogram(m, tuple(map(full.__add__, counts)))
+
+
 def c_ls_histogram(n, m):
     """The c_ls histogram of P(n,3) without enumerating partitions: O(m).
 
@@ -71,8 +85,8 @@ def c_ls_histogram(n, m):
     the rows the ends k + 1 form one progression of step -3, and the
     starts two, one per parity of t.  The residues of K terms of step -3
     repeat every m terms (their orbit's period m / gcd(3, m) divides m),
-    so term j < m lands K // m times, once more if j < K % m.  Prefix
-    sums give the counts up to a constant, which the total p(n,3) fixes.
+    so term j < m lands K // m times, once more if j < K % m.  The total
+    p(n,3) finishes the counts (_from_cyclic_diff).
     Cross-checked against histogram(n, m, c_ls) in the test suite.
     """
     if m <= 0:
@@ -85,11 +99,7 @@ def c_ls_histogram(n, m):
         q, r = divmod(terms, m)
         for j in range(min(terms, m)):
             diff[(first - 3 * j) % m] += sign * (q + (j < r))
-    counts = list(accumulate(diff))
-    full, rest = divmod(p3_nearest(n) - sum(counts), m)
-    assert rest == 0, ("c_ls runs of P(%d,3) do not sum to p(n,3) mod %d"
-                       % (n, m))
-    return CrankHistogram(m, tuple(full + c for c in counts))
+    return _from_cyclic_diff(diff, p3_nearest(n), m)
 
 
 def c_ls_histograms(m, n_max):
@@ -128,11 +138,12 @@ def table_histogram(n, m, table):
     (ehrhart.row_classes) mu is fixed and tau moves by (-1, +1, 0), so the
     crank moves by d = a2 - a1 per step and the class adds an arithmetic
     run mod m.  Every table in the package has d in {-1, 0, 1} (others
-    are rejected), so a run is a wrapping interval of classes, or one
-    class for d = 0, binned in a difference array: O(n + m) for at most
-    n classes.  Returns None when a class's remainder has no entry;
-    histogram(n, m, crank), the reference the tests compare against, then
-    names the first partition the crank rejects.
+    are rejected), so a run is a cyclic interval of classes, or one class
+    for d = 0, counted by _from_cyclic_diff: O(n + m) for at most n
+    classes.  Returns None when a class's remainder has no entry.  Every
+    shipped table places all remainders of one height class mod 6 and no
+    others, so it then places no partition of n, and the crank rejects the
+    first one, (n-2, 1, 1), as histogram(n, m, crank) would.
     """
     if m <= 0:
         raise ValueError("modulus must be positive, got %r" % (m,))
@@ -140,8 +151,8 @@ def table_histogram(n, m, table):
         if a2 - a1 not in (-1, 0, 1):
             raise ValueError("table step %d for remainder %r is not -1, 0 "
                              "or 1" % (a2 - a1, mu))
-    full = 0
-    diff = [0] * (m + 1)  # diff[m] takes the ends of runs that stop at m
+    diff = [0] * m
+    total = 0
     for t, first, steps in row_classes(n):
         mu, (t1, t2, t3) = box_decompose((n - t - first, first, t))
         entry = table.get(mu)
@@ -149,23 +160,14 @@ def table_histogram(n, m, table):
             return None
         a1, a2, a3, c = entry
         s = (a1 * t1 + a2 * t2 + a3 * t3 + c) % m
-        if a2 == a1:
-            diff[s] += steps + 1
-            diff[s + 1] -= steps + 1
-            continue
         if a2 < a1:  # the run s, s-1, .., s-steps, read upward
             s = (s - steps) % m
-        q, r = divmod(steps + 1, m)
-        full += q
-        if r:
-            diff[s] += 1
-            if s + r <= m:
-                diff[s + r] -= 1
-            else:
-                diff[0] += 1
-                diff[s + r - m] -= 1
-    counts = [full + k for k in accumulate(diff[:m])]
-    return CrankHistogram(m, tuple(counts))
+        size = steps + 1
+        total += size
+        w, end = (size, s + 1) if a2 == a1 else (1, s + size)
+        diff[s] += w
+        diff[end % m] -= w
+    return _from_cyclic_diff(diff, total, m)
 
 
 # ---------------------------------------------------------------------------
@@ -784,32 +786,31 @@ def row_permutation(n, m):
     return perm
 
 
+def _cycle_runs(n, m):
+    """The cycles of step_f as lists of row runs (t, first l2, length), l2
+    falling by one per member.  A cycle (t0, t1, ...) of row_permutation
+    starts at the border (n-2 t0, t0, t0), then runs rows t1, .., t0, each
+    from its top down to its border, the closing border dropped.  Eager, so
+    every check comes before the CLI's `cycles` writes its first byte."""
+    if n < 3:
+        raise ValueError("no partitions of %d into three parts" % (n,))
+    return [[(t0, t0, 1)] + [(t, (n - t) // 2, (n - t) // 2 - t + (t != t0))
+                             for t in (*rest, t0)]
+            for t0, *rest in permutation_cycles(row_permutation(n, m))]
+
+
 def cycle_decomposition(n, m):
-    """Orbit partition of P(n,3) under step_f.
+    """Orbit partition of P(n,3) under step_f, each orbit a union of whole
+    rows: the members of the row runs of _cycle_runs, in order.
 
     Cycles are listed in first-appearance order of their smallest member
     under the partition enumeration; each cycle starts at that member.
-
-    Each orbit is a union of whole rows: a cycle (t0, t1, ...) of
-    row_permutation starts at the border (n-2 t0, t0, t0), then runs
-    rows t1, t2, ..., t0, each from its top down to its border, the
-    closing border dropped.  The verified row map costs n//3 border jumps;
-    the rest is writing the members out.
+    The verified row map costs n//3 border jumps; the rest is writing the
+    members out.
     """
-    if n < 3:
-        raise ValueError("no partitions of %d into three parts" % (n,))
-    perm = row_permutation(n, m)
-    cycles = []
-    for row_cycle in permutation_cycles(perm):
-        t0 = row_cycle[0]
-        cyc = [(n - 2 * t0, t0, t0)]
-        for t in row_cycle[1:] + (t0,):
-            top = (n - t) // 2
-            cyc.extend(zip(range(n - t - top, n - 2 * t + 1),
-                           range(top, t - 1, -1), repeat(t)))
-        cyc.pop()
-        cycles.append(cyc)
-    return CycleDecomposition(cycles)
+    return CycleDecomposition([list(chain.from_iterable(
+        zip(range(n - t - l2, n - t - l2 + k), range(l2, l2 - k, -1),
+            repeat(t)) for t, l2, k in runs)) for runs in _cycle_runs(n, m)])
 
 
 def cycle_lengths(dec):

@@ -4,7 +4,7 @@ import random
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from triparts import cranks
 from triparts.cranks import (
@@ -36,8 +36,13 @@ from triparts.cranks import (
     table_histogram,
     vertex_crank_values,
 )
-from triparts.congruence import is_divisible, non_witnessed_residues, residues_pos
-from triparts.ehrhart import box_compose
+from triparts.congruence import (
+    is_divisible,
+    is_prime,
+    non_witnessed_residues,
+    residues_pos,
+)
+from triparts.ehrhart import box_compose, fundamental_points
 from triparts.partitions import count_bruteforce, enumerate_partitions
 
 # ---------------------------------------------------------------------------
@@ -296,6 +301,66 @@ def test_table_histogram_sees_a_shifted_constant(name, m):
         broken[mu] = (a1, a2, a3, c + 1)
         assert any(table_histogram(n, m, broken) != _enumerated(n, m, crank)
                    for n in range(3, 151)), (name, m, mu)
+
+
+def _direct_counts(m, runs):
+    counts = [0] * m
+    for s, size, weighted in runs:
+        if weighted:  # one class of weight size
+            counts[s] += size
+        else:
+            for i in range(size):
+                counts[(s + i) % m] += 1
+    return tuple(counts)
+
+
+@st.composite
+def _cyclic_runs(draw):
+    m = draw(st.integers(1, 13))
+    run = st.tuples(st.integers(0, m - 1), st.integers(0, 3 * m),
+                    st.booleans())
+    return m, draw(st.lists(run, max_size=8))
+
+
+@given(_cyclic_runs())
+@example((1, [(0, 0, False), (0, 4, False), (0, 3, True)]))
+@example((7, [(6, 7, False), (3, 0, False), (5, 16, False), (2, 4, True)]))
+@example((13, [(12, 5, True), (12, 2, False)]))
+def test_from_cyclic_diff_matches_direct_counting(case):
+    # runs (s, L) of L classes from s, or one class s of weight L
+    m, runs = case
+    diff = [0] * m
+    for s, size, weighted in runs:
+        w, end = (size, s + 1) if weighted else (1, s + size)
+        diff[s] += w
+        diff[end % m] -= w
+    total = sum(size for _, size, _ in runs)
+    assert cranks._from_cyclic_diff(diff, total, m) == (m, _direct_counts(
+        m, runs))
+    if m > 1:
+        with pytest.raises(AssertionError, match="do not sum"):
+            cranks._from_cyclic_diff(diff, total + 1, m)
+
+
+def test_closed_form_is_the_2m_minus_2_plan_crank():
+    moduli = [m for m in range(5, 200, 6) if is_prime(m)]
+    assert len(moduli) == 23
+    for m in moduli:
+        assert closed_form_table() == plan_table(arrangement_2m_minus_2(m)), m
+
+
+def test_tables_place_whole_height_classes():
+    # so a table places all of P(n,3) or none of it, and where it places
+    # none the CLI names the crank's error on (n-2, 1, 1)
+    classes = {}
+    for h, pts in fundamental_points().items():
+        classes.setdefault(h % 6, set()).update(pts)
+    for m in (5, 11, 17, 23, 83):
+        for label in case_labels():
+            for plan in (plan_for(label, m), build_arrangement(label, m)):
+                assert set(plan_table(plan)) == classes[plan.r_value % 6], (
+                    label, m)
+    assert set(closed_form_table()) == classes[2]
 
 
 def test_table_histogram_rejects_bad_input():
