@@ -15,7 +15,6 @@ stderr.  All output is deterministic for identical inputs.
 """
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -27,6 +26,7 @@ from . import __version__
 from .congruence import _non_witnessed, characterize
 from .cranks import (
     _cycle_runs,
+    _progression,
     c_ls,  # unused here; bench/test_bench.py traces this binding
     c_ls_histogram,
     c_ls_histograms,
@@ -39,8 +39,7 @@ from .cranks import (
     plan_table,
     table_histogram,
 )
-from .ehrhart import (box_compose, box_decompose, fundamental_points,
-                      h_star, h_star_from_gf)
+from .ehrhart import box_decompose, fundamental_points, h_star, h_star_from_gf
 from .partitions import check_partition
 from .quasipoly import _METHODS, evaluate
 
@@ -303,15 +302,14 @@ def cmd_rectangle(args):
                   {"m": args.m, "k_prime": args.k_prime, "r_prime": label},
                   "success" if report.ok else "failure", payload)
     if args.cells_csv and report.ok and not vacuous:
-        cells = plan.cells(args.k_prime)
-        try:
+        try:  # csv.writer's bytes, one row piece at a time
             with open(args.cells_csv, "w", newline="") as fp:
-                writer = csv.writer(fp, lineterminator="\r\n")
-                writer.writerow(["x", "y", "lambda1", "lambda2", "lambda3"])
-                for (x, y) in sorted(cells, key=lambda c: (c[1], c[0])):
-                    mu, tau = cells[(x, y)]
-                    lam = box_compose(mu, tau)
-                    writer.writerow([x, y, lam[0], lam[1], lam[2]])
+                fp.write("x,y,lambda1,lambda2,lambda3\r\n")
+                for y, x, n, *lam in plan._rows(args.k_prime):
+                    fp.write(("%%d,%d,%%d,%%d,%%d\r\n" % y) * n % tuple(
+                        chain.from_iterable(zip(range(x, x + n), *(
+                            _progression(l, d, n)
+                            for l, d in zip(lam, lam[3:]))))))
         except OSError as exc:
             raise ValueError("cannot write %s: %s" % (args.cells_csv, exc))
     return 0 if report.ok else 1

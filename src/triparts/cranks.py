@@ -18,10 +18,11 @@ primes m with m % 6 == 5:
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, permutations, repeat
 
 from .congruence import residues_neg
 from .ehrhart import (
+    V3 as _V3,  # a public V3 here would join the module's pinned names
     box_compose,
     box_decompose,
     fundamental_points,
@@ -243,6 +244,16 @@ class AffineMap2:
 
 CoverReport = namedtuple("CoverReport", ["ok", "cells", "expected", "detail"])
 
+# RectanglePlan._rows keeps one piece (~300 bytes) per triangle line: 10**6
+# lines take ~1.5 s and ~300 MiB on a 2-CPU x86-64 box.  Rectangles of up
+# to 4e9 cells (w*h) have at most ~2.2e5 lines.
+_MAX_LINES = 10 ** 6
+
+
+def _progression(a, b, n):
+    """a, a + b, .., a + (n-1) b."""
+    return range(a, a + b * n, b) if b else repeat(a, n)
+
 
 class RectanglePlan:
     """A triangle-to-rectangle arrangement for one height progression.
@@ -340,72 +351,72 @@ class RectanglePlan:
         self._cells[kprime] = out
         return out
 
-    def _covers_by_runs(self, kprime):
-        """True when the placements cover the k' rectangle exactly once.
-
-        For fixed t1 the cells of tau = (t1, t2, s-t1-t2), t2 = 0..s-t1,
-        form an arithmetic run in the flat index y*W + x.  Runs are split
-        where the step-axis coordinate wraps mod its dimension, the other
-        coordinate is bounds-checked at both ends of each piece, and the
-        piece is marked in a bytearray by one slice assignment.  If all
-        cells land inside and their number is W*H, every byte being marked
-        means no cell was hit twice.  False on any failure, without
-        saying which.
+    def _rows(self, kprime):
+        """The rectangle as pieces (y, x, n, l1, l2, l3, d1, d2, d3), the
+        cells (x + i, y) of (l1, l2, l3) + i (d1, d2, d3) for i < n, in (y, x)
+        order, or None unless they tile it exactly once.  Shipped maps keep y
+        fixed along a unit direction of the triangle, x rising by one; each
+        line along it is one row piece, affine in the line index, split
+        where x wraps mod w.  Other maps give None.  The sorted pieces tile
+        iff each starts where the last ended, rows ending at x = w.
         """
         w, h = self.dims(kprime)
         k = self.k_for(kprime)
-        sizes = [k - size_offset for _, size_offset, _ in self.placements]
+        lines = sum(max(0, k - off + 1) for _, off, _ in self.placements)
+        if lines > _MAX_LINES:
+            raise ValueError("input too large: %d triangle lines, more than "
+                             "%d" % (lines, _MAX_LINES))
         if w == 0 or h == 0:
-            # no cell fits, so the cover holds only with no triangle at all
-            return all(s < 0 for s in sizes)
-        # u runs along the step axis (taken mod wrap), v across it (0..span-1)
-        if self.delta == (1, 0):
-            axes, wrap, span, su, sv = (0, 1), w, h, 1, w
-        else:
-            axes, wrap, span, su, sv = (1, 0), h, w, w, 1
-        grid = bytearray(w * h)
-        ones = b"\x01" * (max(sizes, default=-1) + 1)
-        total = 0
-        for s, (_, _, mp) in zip(sizes, self.placements):
-            (a, b, c), (d, e, f) = (mp.matrix[i] for i in axes)
-            ou, ov = (mp.offset[i] for i in axes)
-            du, dv = b - c, e - f
-            step = du * su + dv * sv
-            stride = abs(step) or 1
-            for t1 in range(s + 1):
-                u = ((a - c) * t1 + c * s + ou) % wrap
-                v = (d - f) * t1 + f * s + ov
-                left = s - t1 + 1
-                total += left
-                while left:
-                    if du > 0:
-                        run = min(left, (wrap - 1 - u) // du + 1)
-                    elif du < 0:
-                        run = min(left, u // -du + 1)
-                    else:
-                        run = left
-                    v_end = v + dv * (run - 1)
-                    if min(v, v_end) < 0 or max(v, v_end) >= span:
-                        return False
-                    if step == 0 and run > 1:
-                        return False  # the whole run sits on one cell
-                    first = u * su + v * sv
-                    lo = min(first, first + step * (run - 1))
-                    grid[lo:lo + stride * (run - 1) + 1:stride] = ones[:run]
-                    u, v = (u + du * run) % wrap, v_end + dv
-                    left -= run
-        return total == w * h and grid.count(0) == 0
+            return None if lines else []
+        x_wraps = self.delta == (1, 0)
+        pieces = []
+        for mu, off, mp in self.placements:
+            s = k - off  # below 0: no lengths, so zip yields no line
+            rows = (*mp.matrix, *_V3)  # x, y, l1, l2, l3 as functions of tau
+            for p, q, r in permutations(range(3)):
+                if rows[1][q] == rows[1][r] and rows[0][q] - rows[0][r] == 1:
+                    break
+            else:
+                return None
+            # line j: tau_p = j, tau_q rising from 0, tau_r falling from s - j
+            first = [f[r] * s + o for f, o in zip(rows, (*mp.offset, *mu))]
+            slope = [f[p] - f[r] for f in rows]
+            step = [f[q] - f[r] for f in rows[2:]]
+            xs, ys, *lams = [_progression(a, b, s + 1)
+                             for a, b in zip(first, slope)]
+            line = zip(ys if x_wraps else map(h.__rmod__, ys), xs,
+                       range(s + 1, 0, -1), *lams, *map(repeat, step))
+            last = first[0] + slope[0] * s  # x of the one cell of line s
+            if not x_wraps or (min(first[0], last) >= 0
+                               and max(first[0] + s, last) < w):
+                pieces.extend(line)
+                continue
+            for y, x, n, *lam in line:  # split where x wraps
+                x %= w
+                cut = min(n, w - x)
+                pieces.append((y, x, cut, *lam))
+                if cut < n:
+                    pieces.append((y, 0, n - cut, *(l + cut * d for l, d in
+                                                    zip(lam, step)), *step))
+        pieces.sort()
+        y = x = 0
+        for piece in pieces:
+            if piece[0] != y or piece[1] != x:
+                return None
+            x += piece[2]
+            if x == w:
+                y, x = y + 1, 0
+        return pieces if (y, x) == (h, 0) else None
 
     def verify_cover(self, kprime):
         """Exhaustive disjoint-cover check for one k'.
 
-        Every cell is checked through whole runs (_covers_by_runs), one
-        byte per cell.  On a failure the report, with its detail, comes
-        from the cell-by-cell reference cells().
-        """
+        Every cell is checked through row pieces (_rows).  On a failure or
+        a map _rows cannot read, the report, with its detail, comes from the
+        cell-by-cell reference cells()."""
         dims = self.dims(kprime)
         expected = dims[0] * dims[1]
-        if self._covers_by_runs(kprime):
+        if self._rows(kprime) is not None:
             return CoverReport(True, expected, expected, "ok")
         try:
             got = len(self.cells(kprime))
@@ -464,6 +475,17 @@ def plan_table(plan):
     return table
 
 
+# (mu, size offset, matrix, offset) of the 2m-2 placements, for every m
+_PLACEMENTS_2M_MINUS_2 = (
+    ((6, 1, 1), 1, ((1, 1, 2), (1, 0, 0)), (0, 0)),
+    ((4, 2, 2), 1, ((1, 2, 2), (1, 1, 0)), (1, 0)),
+    ((5, 2, 1), 1, ((2, 2, 3), (1, 0, 0)), (2, 0)),
+    ((3, 3, 2), 1, ((2, 3, 3), (1, 1, 0)), (3, 0)),
+    ((4, 3, 1), 1, ((3, 3, 4), (1, 0, 0)), (4, 0)),
+    ((8, 4, 2), 2, ((0, 1, 1), (1, 1, 0)), (0, 1)),
+)
+
+
 def arrangement_2m_minus_2(m):
     """The dedicated arrangement for heights n = 6mk' + (2m-2).
 
@@ -479,14 +501,8 @@ def arrangement_2m_minus_2(m):
     crank is x mod m and decreases by 3 along each row.
     """
     c = (m - 2) // 3
-    placements = [
-        ((6, 1, 1), 1, AffineMap2(((1, 1, 2), (1, 0, 0)), (0, 0))),
-        ((4, 2, 2), 1, AffineMap2(((1, 2, 2), (1, 1, 0)), (1, 0))),
-        ((5, 2, 1), 1, AffineMap2(((2, 2, 3), (1, 0, 0)), (2, 0))),
-        ((3, 3, 2), 1, AffineMap2(((2, 3, 3), (1, 1, 0)), (3, 0))),
-        ((4, 3, 1), 1, AffineMap2(((3, 3, 4), (1, 0, 0)), (4, 0))),
-        ((8, 4, 2), 2, AffineMap2(((0, 1, 1), (1, 1, 0)), (0, 1))),
-    ]
+    placements = [(mu, off, AffineMap2(matrix, offset))
+                  for mu, off, matrix, offset in _PLACEMENTS_2M_MINUS_2]
     return RectanglePlan("2m-2", 2 * m - 2, m,
                          ell1=(3 * m, m), ell2=(m, c), k_offset=c,
                          placements=placements, eta=(1, 0, 0), delta=(1, 0))
@@ -523,26 +539,11 @@ def ehrhart_crank_closed_form(lam, m):
 
 
 def closed_form_table():
-    """ehrhart_crank_closed_form as a table_histogram table.
-
-    The closed form branches on the remainder alone: with mu = lam - V3 tau,
-    r1 = mu1 - mu2, r2 = mu2 - mu3, and bar3 = l3 has the parity of mu3.
-    Each branch is affine in tau.  Only the remainders of height 2 mod 6
-    (heights 8 and 14) get an entry, as the closed form rejects the rest.
-    """
-    table = {}
-    for h, pts in fundamental_points().items():
-        if h % 6 != 2:
-            continue
-        for mu in pts:
-            r2 = mu[1] - mu[2]
-            if mu[2] % 2:  # (r2+1) K + 2 r2 + t3
-                table[mu] = (r2 + 1, r2 + 1, r2 + 2, 2 * r2)
-            elif (mu[0] - mu[1], r2) == (4, 2):  # K - t1
-                table[mu] = (0, 1, 1, 0)
-            else:  # (r2+2) K + 2 r2 + 1 - t1
-                table[mu] = (r2 + 1, r2 + 2, r2 + 2, 2 * r2 + 1)
-    return table
+    """ehrhart_crank_closed_form, the crank x mod m of the 2m-2 arrangement,
+    as a table_histogram table: the x rows of its placements (heights 8 and
+    14 only, as the closed form rejects the rest)."""
+    return {mu: (*matrix[0], offset[0])
+            for mu, _, matrix, offset in _PLACEMENTS_2M_MINUS_2}
 
 
 def rectangle_cycle_step(plan, lam):

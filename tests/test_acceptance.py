@@ -427,3 +427,38 @@ def test_20_row_sums_in_constant_time_per_parity(capsys):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert int(proc.stdout) == p3_nearest(10 ** 15)
     assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_21_rectangles_by_row_pieces(tmp_path):
+    # The cover check and the cells table walk one piece per line of a
+    # placed triangle, O(lines) memory, never one byte or one dict entry
+    # per cell: 5 2000 -- -1 has 3.0e8 cells, 1013 10 2m-2 3.3e8.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    target = tmp_path / "cells.csv"
+    for argv, ceiling_mib in (
+            (["rectangle", "5", "2000", "--", "-1"], 64),
+            (["rectangle", "1013", "10", "2m-2"], 64),
+            (["rectangle", "--cells-csv", str(target), "101", "3", "2m-2"],
+             16)):
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                              capture_output=True, env=env, text=True,
+                              timeout=60)
+        elapsed = time.monotonic() - start
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert int(proc.stdout) <= ceiling_mib * 1024, (argv, proc.stdout)
+        assert elapsed < 1.0, (argv, elapsed)
+    assert target.stat().st_size > 0
+    # past the bound on the lines walked: refused before any walk
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "triparts.cli", "rectangle",
+                           "5", "100000000", "0"],
+                          capture_output=True, env=env, text=True, timeout=10)
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: input too large")
+    assert proc.stderr.count("\n") == 1
+    assert elapsed < 0.5, elapsed

@@ -25,7 +25,7 @@ from triparts.cranks import (
     plan_table,
     table_histogram,
 )
-from triparts.ehrhart import tile_partition_triangle
+from triparts.ehrhart import box_compose, tile_partition_triangle
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "docs", "cli-schema.json")
@@ -262,6 +262,11 @@ def test_histogram_closed_form(capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["payload"] == {"counts": [0] * 5, "uniform": True,
                                           "total": 0}
+    # the table builds no plan, so a modulus with none (7 = 1 mod 6) works
+    code, out, err = run(capsys, "histogram", "44", "7", "--crank", "closed")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["counts"] == list(
+        histogram(44, 7, ehrhart_crank_closed_form).counts)
 
 
 def test_histogram_errors_match_the_enumeration_route(capsys):
@@ -770,15 +775,46 @@ def test_golden_count_help_after_other_calls(capsys, monkeypatch):
     test_golden_count_help(capsys, monkeypatch)
 
 
+# (argv, sha256 of stdout, sha256 of the --cells-csv file), recorded before
+# the cells table was written from row pieces; 101 3 2m-2 has rows that
+# wrap around the width.
+_GOLDEN_CELLS_CSV = [
+    (("5", "1", "2m-2"),
+     "5bd24f29483072d7217877f5e876603d823b6b7ec02076b92454c75bef478a42",
+     "19b2307eed700eb5765d7a91897eaaae10cf984133014de4cb35f8443faeaa89"),
+    (("101", "3", "2m-2"),
+     "5e9aa6a636bbd56432ece99d448550eed7fda7e7da5b70944ec8f7e4e4d97298",
+     "a55a67a2c6df1444bfa0c9dfd615e73d9c713d8522a2965989e4ffd1d36c81be"),
+    (("11", "4", "--", "-(2m+1)"),
+     "f82b0a891cc5c3faeff1d1d17e41d8428bf5061d56ae71997e88524c6830adf9",
+     "53871f9ccc4ba507b8d279484ee7f68298fb6f7754c55b6880d25910888bfcaf"),
+    (("5", "6", "--", "-1"),
+     "9054b662e6806612f1fd5a9ffd2a80d7707812abb4d37def593784e0af4ea9e1",
+     "32b6f1dfaddc74ae39298c7971e7afeb69d7c9877c0e30d58c8887800622b19f"),
+    (("17", "2", "2m+1"),
+     "953ea5ec05b2e22fb78622d158a965f607dd5ffef26010fbc42f40473712b846",
+     "1b3c7b1acf9e60b37af77706cb53869a5dd932f916476dce7ac043a8a333bb23"),
+    (("23", "3", "0"),
+     "485f40814b7dad734c32573796756145c062936fe0571b52781ef8fc459bba5d",
+     "96a367dac0b7168acd92dfab8c26b743d2165d729961fc6223656c14697b366e"),
+    (("11", "3", "--", "-(2m-2)"),
+     "5c425b95b9a27c74f6f5ab31aab2dd5a9ae8b060bba5843452e747f4e3c812a7",
+     "02f164ab8ff268fc486a179f64882e988563ab500f0d4785b2343c3e42f78d83"),
+    (("5", "7", "--", "-2"),
+     "9033ad7cea098f75482102827396d546606462a8028ce905fd60f7388c335af8",
+     "a352603277b77464f3266e0d752ebe397f55b846f11ea4004498009ca92d3287"),
+]
+
+
 def test_golden_cells_csv(tmp_path, capsys):
     target = tmp_path / "cells.csv"
-    code, out, _ = run(capsys, "rectangle", "5", "1", "2m-2",
-                       "--cells-csv", str(target))
-    assert code == 0
-    assert _sha256(out) == (
-        "5bd24f29483072d7217877f5e876603d823b6b7ec02076b92454c75bef478a42")
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-        "19b2307eed700eb5765d7a91897eaaae10cf984133014de4cb35f8443faeaa89")
+    for argv, out_digest, csv_digest in _GOLDEN_CELLS_CSV:
+        code, out, _ = run(capsys, "rectangle", "--cells-csv", str(target),
+                           *argv)
+        assert code == 0, argv
+        assert _sha256(out) == out_digest, argv
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            csv_digest), argv
 
 
 def test_golden_count_help(capsys, monkeypatch):
@@ -909,10 +945,23 @@ _FUZZ_ARGVS = st.one_of(
     st.tuples(st.just("count"), _N),
     st.tuples(st.just("residues"), _M),
     st.tuples(st.just("verify"), _M, st.just("--max-n"), _N),
-    st.tuples(st.just("rectangle"), _M5, st.integers(-1, 3).map(str),
-              st.just("--"), _LABEL),
+    st.tuples(st.just("rectangle"),
+              st.sampled_from([(), ("--cells-csv", "CSV")]), _M5,
+              st.integers(-1, 3).map(str), st.just("--"), _LABEL),
 ).map(lambda parts: [arg for part in parts
                      for arg in ((part,) if isinstance(part, str) else part)])
+
+
+def _cells_csv_reference(m, kprime, label):
+    """The --cells-csv table through csv.writer, from the cell-by-cell
+    reference cells(), sorted in (y, x) order."""
+    cells = plan_for(label, m).cells(kprime)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(["x", "y", "lambda1", "lambda2", "lambda3"])
+    for x, y in sorted(cells, key=lambda cell: (cell[1], cell[0])):
+        writer.writerow([x, y, *box_compose(*cells[(x, y)])])
+    return buf.getvalue()
 
 
 @settings(max_examples=600,
@@ -920,22 +969,38 @@ _FUZZ_ARGVS = st.one_of(
                                  HealthCheck.too_slow])
 @given(_FUZZ_ARGVS)
 def test_fuzzed_argv_exits_cleanly_and_repeats(capsys, tmp_path, argv):
-    path = str(tmp_path / "tile.svg")
-    argv = [path if arg == "PATH" else arg for arg in argv]
+    paths = {"PATH": str(tmp_path / "tile.svg"),
+             "CSV": str(tmp_path / "cells.csv")}
+    argv = [paths.get(arg, arg) for arg in argv]
     results = []
     for _ in range(2):
         code, out, err = run(capsys, *argv)
-        svg = None
-        if argv[0] == "tile" and code == 0:
-            with open(path, encoding="utf-8") as fp:
-                svg = fp.read()
-            os.remove(path)
-        results.append((code, out, err, svg))
+        written = None
+        for path in paths.values():
+            if os.path.exists(path):
+                with open(path, encoding="utf-8", newline="") as fp:
+                    written = fp.read()
+                os.remove(path)
+        results.append((code, out, err, written))
     assert results[0] == results[1], argv
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err, argv
     if code == 2:
         assert out == "" and err.startswith("error: "), argv
         assert err.count("\n") == 1 and err.endswith("\n"), argv
-    elif out and not (argv[0] == "cycles" and argv[-1] == "csv"):
-        check_schema(out)
+    doc = None
+    if out and not (argv[0] == "cycles" and argv[-1] == "csv"):
+        doc = check_schema(out)
+    if code == 1 and doc is None:  # nothing on stdout
+        assert err.startswith("error: internal check failed: "), argv
+        assert err.count("\n") == 1 and err.endswith("\n"), argv
+    elif code == 1:  # a failing report, or an --expect-uniform miss
+        assert doc["outcome"] == "failure" or (
+            "--expect-uniform" in argv
+            and doc["payload"]["uniform"] is False), argv
+    if "--cells-csv" in argv and code == 0 and not doc["payload"]["vacuous"]:
+        m, kprime, label = argv[3], argv[4], argv[6]
+        assert written == _cells_csv_reference(int(m), int(kprime), label), (
+            argv)
+    elif argv[0] == "rectangle":
+        assert written is None, argv

@@ -509,6 +509,19 @@ def _moved(plan, which, matrix_fn, offset_fn):
     return _replan(plan, placements)
 
 
+def _expand(pieces):
+    """The cells of row pieces, in their order, each with its partition."""
+    return [((x + i, y), (l1 + i * d1, l2 + i * d2, l3 + i * d3))
+            for y, x, n, l1, l2, l3, d1, d2, d3 in pieces for i in range(n)]
+
+
+def _cells_in_row_order(plan, kprime):
+    """The cells of the cell-by-cell reference cells(), in (y, x) order."""
+    cells = plan.cells(kprime)
+    return [((x, y), box_compose(*cells[(x, y)]))
+            for x, y in sorted(cells, key=lambda cell: (cell[1], cell[0]))]
+
+
 @pytest.mark.parametrize("m", [5, 11, 17, 23])
 def test_cover_runs_match_cells(m):
     plans = [build_arrangement(label, m) for label in case_labels()]
@@ -517,30 +530,42 @@ def test_cover_runs_match_cells(m):
         for kprime in range(5):
             rep = plan.verify_cover(kprime)
             assert rep == _cover_from_cells(plan, kprime), (plan, kprime)
-            # the run route itself accepts, not the fallback behind it
-            assert plan._covers_by_runs(kprime) is rep.ok, (plan, kprime)
+            # the row route itself accepts, not the fallback behind it
+            rows = plan._rows(kprime)
+            assert (rows is not None) is rep.ok, (plan, kprime)
+            assert _expand(rows) == _cells_in_row_order(plan, kprime), (
+                plan, kprime)
 
 
 @pytest.mark.parametrize("m", [5, 11])
 def test_cover_runs_on_mirrored_plans(m):
     # Reflecting the step axis, u -> wrap - 1 - u, keeps an exact cover
     # and turns runs that wrap downward into runs that wrap upward (only
-    # the dedicated 2m-2 layout has runs that wrap).
+    # the dedicated 2m-2 layout has runs that wrap); so does moving every
+    # triangle one period along it, which leaves every run to be reduced.
     plans = [build_arrangement(label, m) for label in case_labels()]
     for plan in plans + [arrangement_2m_minus_2(m)]:
         label = plan.r_label
         axis = 0 if plan.delta == (1, 0) else 1
+        everything = range(len(plan.placements))
         for kprime in range(1, 4):
             wrap = plan.dims(kprime)[axis]
             mirrored = _moved(
-                plan, range(len(plan.placements)),
+                plan, everything,
                 lambda mat: tuple(tuple(-x for x in row) if i == axis else row
                                   for i, row in enumerate(mat)),
                 lambda off: tuple(wrap - 1 - o if i == axis else o
                                   for i, o in enumerate(off)))
-            assert mirrored._covers_by_runs(kprime), (label, kprime)
-            rep = mirrored.verify_cover(kprime)
-            assert rep == _cover_from_cells(mirrored, kprime)
+            shifted = _moved(plan, everything, lambda mat: mat,
+                             lambda off: tuple(o + wrap * (i == axis)
+                                               for i, o in enumerate(off)))
+            for moved in (mirrored, shifted):
+                rows = moved._rows(kprime)
+                assert rows is not None, (label, kprime)
+                assert _expand(rows) == _cells_in_row_order(moved, kprime), (
+                    label, kprime)
+                rep = moved.verify_cover(kprime)
+                assert rep == _cover_from_cells(moved, kprime)
 
 
 @pytest.mark.parametrize("m", [5, 11])
@@ -551,25 +576,65 @@ def test_cover_runs_match_cells_on_broken_plans(m):
         everything = range(len(plan.placements))
         for kprime in range(1, 5):
             span = plan.dims(kprime)[across]
-            broken = {
+            # a one-cell triangle just past the far edge, at the start of the
+            # row (or column) after the last
+            extra = ((0, 0, 0), plan.k_for(kprime), AffineMap2(
+                plan.placements[0][2].matrix,
+                tuple(span * (i == across) for i in range(2))))
+            broken = [
                 # one triangle moved a cell along the step axis
-                "covered twice": _moved(
+                ("covered twice", _moved(
                     plan, [0], lambda mat: mat,
                     lambda off: tuple(o + (i == along)
-                                      for i, o in enumerate(off))),
+                                      for i, o in enumerate(off)))),
                 # the whole layout one rectangle below itself: every cell
                 # outside, none aliased back in
-                "outside": _moved(
+                ("outside", _moved(
                     plan, everything, lambda mat: mat,
                     lambda off: tuple(o - span * (i == across)
-                                      for i, o in enumerate(off))),
-                "covered ": _replan(plan, plan.placements[:-1]),
-            }
-            for kind, bad in broken.items():
-                assert not bad._covers_by_runs(kprime), (label, kind, kprime)
+                                      for i, o in enumerate(off)))),
+                ("outside", _replan(plan, plan.placements + [extra])),
+                ("covered ", _replan(plan, plan.placements[:-1])),
+            ]
+            for kind, bad in broken:
+                assert bad._rows(kprime) is None, (label, kind, kprime)
                 rep = bad.verify_cover(kprime)
                 assert rep == _cover_from_cells(bad, kprime), (label, kind, kprime)
                 assert not rep.ok and kind in rep.detail, (label, kprime, rep)
+        if 0 in plan.dims(0):
+            # a triangle in a rectangle with no cells
+            mu, _, mp = plan.placements[0]
+            bad = _replan(plan, [(mu, plan.k_for(0), mp)]
+                          + plan.placements[1:])
+            assert bad._rows(0) is None, label
+            rep = bad.verify_cover(0)
+            assert rep == _cover_from_cells(bad, 0), label
+            assert not rep.ok and "outside" in rep.detail, (label, rep)
+
+
+def test_cover_off_the_row_shape_falls_back_to_cells():
+    # At k' = 0 the five height-8 triangles of the m = 5 plan are single
+    # cells, so any map through the same corner keeps the cover exact; a
+    # map along which no row is a unit run (here y is fixed along no line,
+    # or x moves by 2 along the lines of fixed y) is left to cells().
+    plan = arrangement_2m_minus_2(5)
+    for matrix in (((1, 3, 7), (0, 1, 5)), ((3, 1, 0), (0, 0, 2))):
+        sheared = _moved(plan, [0], lambda mat: matrix, lambda off: off)
+        assert sheared._rows(0) is None
+        assert sheared.verify_cover(0) == CoverReport(True, 5, 5, "ok")
+        assert sheared._rows(1) is None
+        rep = sheared.verify_cover(1)
+        assert rep == _cover_from_cells(sheared, 1) and not rep.ok
+
+
+def test_rows_bound_the_triangle_lines_walked(monkeypatch):
+    plan = plan_for("0", 5)
+    lines = sum(plan.k_for(3) - off + 1 for _, off, _ in plan.placements)
+    monkeypatch.setattr(cranks, "_MAX_LINES", lines)
+    assert plan.verify_cover(3).ok
+    monkeypatch.setattr(cranks, "_MAX_LINES", lines - 1)
+    with pytest.raises(ValueError, match="^input too large"):
+        plan.verify_cover(3)
 
 
 def test_build_rejects_bad_modulus():
