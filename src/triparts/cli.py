@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from itertools import accumulate, chain, cycle, repeat
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as encode_str
 
 from . import __version__
@@ -220,51 +220,52 @@ def cmd_histogram(args):
     return 0
 
 
-# `cycles` output from fixed templates, one write per cycle, lambda3 (and
-# the CSV cycle index) fixed along a row run: byte for byte what json.dumps(
-# report, sort_keys=True, indent=2) and csv.writer(lineterminator="\r\n")
-# write for the same report and rows.
+# `cycles` writes a cycle at once, as json.dumps(report, sort_keys=True,
+# indent=2) or csv.writer(lineterminator="\r\n") would.  Along a row run l1
+# and c_ls = l1 - t rise by one, l2 falls by one and lambda3 = t is fixed: one
+# forward slice of each per-call table of decimal strings, separators fused
+# in.  A cycle starts at a border (n-2t, t, t); m divides its size.
 _CYCLES_HEAD = ('{\n  "command": "cycles",\n  "inputs": {\n    "m": %d,\n'
                 '    "n": %d\n  },\n  "outcome": "success",\n'
                 '  "payload": {\n    "cycles": [\n')
-_CYCLE = ('%s      {\n        "cranks": [\n%s\n        ],\n'
-          '        "length": %d,\n        "partitions": [\n%s\n'
-          '        ]\n      }')
-_TRIPLE = ("          [\n            %%d,\n            %%d,\n"
-           "            %d\n          ]")
-_CSV_ROW = "%d,%%d,%%d,%%d,%d,%%d\r\n"
 _CYCLES_TAIL = '\n    ],\n    "lengths": [\n%s\n    ]\n  }\n}\n'
 
 
 def cmd_cycles(args):
     n, m, as_json = args.n, args.m, args.format == "json"
     cycle_runs = _cycle_runs(n, m)  # checked before the first byte
+    top = (n - 1) // 2  # the largest l2
+    fmt1, fmt2 = ((",\n          [\n            %d,\n            ",
+                   "%d,\n            ") if as_json else (",%d,", "%d,"))
+    l1s = [fmt1 % l1 for l1 in range(n - 1)]
+    l2s = [fmt2 % l2 for l2 in range(top, 0, -1)]
+    cranks = [] if as_json else ["%d\r\n" % (d % m) for d in range(n - 2)]
     write = sys.stdout.write
     write(_CYCLES_HEAD % (m, n) if as_json else
           "cycle_index,position,lambda1,lambda2,lambda3,crank\r\n")
-    sizes = []
-    for ci, runs in enumerate(cycle_runs):
-        # the first run is the border (n-2t, t, t), of c_ls n - 3t; every
-        # step raises c_ls by one mod m, so m divides the size
-        c0, size = (n - 3 * runs[0][0]) % m, sum(run[2] for run in runs)
-        sizes.append(size)
+    sizes = [sum(run[2] for run in runs) for runs in cycle_runs]
+    for ci, (runs, size) in enumerate(zip(cycle_runs, sizes)):
+        t0 = runs[0][0]
         if as_json:
-            period = ",\n".join(["          %d" % c
-                                 for c in chain(range(c0, m), range(c0))])
-            write(_CYCLE % (",\n" if ci else "",
-                            ",\n".join(repeat(period, size // m)), size,
-                            ",\n".join(",\n".join(repeat(_TRIPLE % t, k))
-                                       % tuple(chain.from_iterable(zip(
-                                           range(n - t - l2, n - t - l2 + k),
-                                           range(l2, l2 - k, -1))))
-                                       for t, l2, k in runs if k)))
+            period = ",\n".join(["          %d" % (c % m)
+                                 for c in range(n - 3 * t0, n - 3 * t0 + m)])
+            write("".join([
+                '%s      {\n        "cranks": [\n' % (",\n" if ci else ""),
+                ",\n".join(repeat(period, size // m)),
+                '\n        ],\n        "length": %d,\n        "partitions": '
+                '[\n          [\n            %d,\n            %d,\n'
+                '            %d\n          ]' % (size, n - 2 * t0, t0, t0),
+                *chain.from_iterable(chain.from_iterable(zip(
+                    l1s[n - t - l2:n - t - l2 + k], l2s[top - l2:top - l2 + k],
+                    repeat("%d\n          ]" % t))) for t, l2, k in runs[1:]),
+                "\n        ]\n      }"]))
         else:
-            cranks = chain(range(c0, m), cycle(range(m)))
-            write("".join(_CSV_ROW % (ci, t) * k % tuple(chain.from_iterable(
-                zip(range(pos, pos + k), range(n - t - l2, n - t - l2 + k),
-                    range(l2, l2 - k, -1), cranks)))
+            write("".join(["".join(chain.from_iterable(zip(
+                repeat("%d," % ci), map(str, range(pos, pos + k)),
+                l1s[n - t - l2:n - t - l2 + k], l2s[top - l2:top - l2 + k],
+                repeat("%d," % t), cranks[n - 2 * t - l2:n - 2 * t - l2 + k])))
                 for pos, (t, l2, k) in zip(
-                    accumulate((run[2] for run in runs), initial=0), runs)))
+                    accumulate((run[2] for run in runs), initial=0), runs)]))
     if as_json:
         write(_CYCLES_TAIL % ",\n".join(["      %d" % k for k in sizes]))
     return 0
@@ -315,29 +316,29 @@ def cmd_rectangle(args):
     return 0 if report.ok else 1
 
 
-_SVG_HEADER = ('<?xml version="1.0" encoding="UTF-8"?>\n'
-               '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-               'width="%d" height="%d" viewBox="0 0 %d %d">\n'
-               '<title>%s</title>\n')
-_CIRCLE = ('<circle cx="%%d" cy="%%d" r="%d"><title>%d+%%d+%%d</title>'
-           '</circle>\n')  # radius and l1 fixed along a run
-
-
 def _tiling_chunks(n):
     """render_tiling_svg in chunks.  P(n,3) has the box remainders mu with
     |mu| <= n, |mu| = n mod 6 (|V3 tau| = 6 |tau|).  mu fixes l1 - l2 mod 6,
     so at each l1 its partitions are a run of l2 stepping by -6: one chunk
-    each."""
+    each, one forward slice of each per-call table of decimal strings."""
     order = sorted(mu for h, pts in fundamental_points().items()
                    if h <= n and (n - h) % 6 == 0 for mu in pts)
     scale, radius, margin, legend_w = 18, 6, 40, 270
-    xmax = max((n - 1) // 2 - 1, 0)  # the largest l2 - l3, at l3 = 1
-    ymin, ymax = 1, max(n // 3, 1)  # the largest l3
+    top = (n - 1) // 2  # the largest l2
+    xmax, ymax = max(top - 1, 0), max(n // 3, 1)  # the largest l2 - l3, l3
     width = 2 * margin + xmax * scale + legend_w
-    height = 2 * margin + (ymax - ymin) * scale
-    height = max(height, 2 * margin + 22 * max(1, len(order)))
-    yield _SVG_HEADER % (width, height, width, height,
-                         "partitions of %d into three parts, colored by box remainder" % n)
+    height = 2 * margin + max((ymax - 1) * scale, 22 * max(1, len(order)))
+    yield ('<?xml version="1.0" encoding="UTF-8"?>\n'
+           '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           'width="%d" height="%d" viewBox="0 0 %d %d">\n<title>partitions of '
+           '%d into three parts, colored by box remainder</title>\n'
+           % (width, height, width, height, n))
+    cxs = ['<circle cx="%d" cy="' % (margin + x * scale)
+           for x in range(xmax, -1, -1)]
+    cys = ['%d" r="%d"><title>' % (margin + (ymax - l3) * scale, radius)
+           for l3 in range(ymax + 1)]
+    l2s = ["%d+" % l2 for l2 in range(top, 0, -1)]
+    l3s = ["%d</title></circle>\n" % l3 for l3 in range(ymax + 1)]
     for gi, mu in enumerate(order):
         color = "hsl(%d, 70%%, 45%%)" % ((gi * 360) // max(1, len(order)))
         yield '<g fill="%s">\n' % color
@@ -346,12 +347,11 @@ def _tiling_chunks(n):
             hi, lo = min(l1, n - l1 - 1), (n - l1 + 1) // 2
             l2 = hi - (hi - l1 + mu[0] - mu[1]) % 6  # the run's largest l2
             k = max(0, (l2 - lo) // 6 + 1)
-            l3, end, size = n - l1 - l2, 6 * k, size + k
-            cx, cy = margin + (l2 - l3) * scale, margin + (ymax - l3) * scale
-            yield _CIRCLE % (radius, l1) * k % tuple(chain.from_iterable(zip(
-                range(cx, cx - 2 * scale * end, -12 * scale),
-                range(cy, cy - scale * end, -6 * scale),
-                range(l2, l2 - end, -6), range(l3, l3 + end, 6))))
+            l3, ix, size = n - l1 - l2, xmax - (2 * l2 + l1 - n), size + k
+            yield "".join(chain.from_iterable(zip(
+                cxs[ix:ix + 12 * k:12], cys[l3:l3 + 6 * k:6],
+                repeat("%d+" % l1, k), l2s[top - l2:top - l2 + 6 * k:6],
+                l3s[l3:l3 + 6 * k:6])))
         lx, ly = 2 * margin + xmax * scale + 20, margin + gi * 22
         yield ('</g>\n<rect x="%d" y="%d" width="12" height="12" fill="%s"/>\n'
                '<text x="%d" y="%d" font-family="monospace" font-size="13">'
