@@ -215,17 +215,18 @@ class AffineMap2:
     """Affine map Z^3 -> Z^2: tau -> matrix tau + offset.
 
     Restricted to any fixed triangle of quotients the map must be
-    injective; this is sanity-checked on construction against a sample
-    triangle.
+    injective.  On the plane t1+t2+t3 = s it is affine in (t1, t2) with
+    matrix [[a-c, b-c], [d-f, e-f]]: injective iff its determinant is
+    nonzero, checked on construction.
     """
 
     def __init__(self, matrix, offset):
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self.matrix = tuple(tuple(map(int, row)) for row in matrix)
         self.offset = (int(offset[0]), int(offset[1]))
-        if len(self.matrix) != 2 or any(len(row) != 3 for row in self.matrix):
+        if [len(row) for row in self.matrix] != [3, 3]:
             raise ValueError("matrix must be 2x3")
-        sample = triangle(3)
-        if len({self.apply(t) for t in sample}) != len(sample):
+        (a, b, c), (d, e, f) = self.matrix
+        if (a - c) * (e - f) == (b - c) * (d - f):
             raise ValueError("map %r is not injective on a triangle" % (self,))
 
     def apply(self, tau):
@@ -244,9 +245,8 @@ class AffineMap2:
 
 CoverReport = namedtuple("CoverReport", ["ok", "cells", "expected", "detail"])
 
-# RectanglePlan._rows keeps one piece (~300 bytes) per triangle line: 10**6
-# lines take ~1.5 s and ~300 MiB on a 2-CPU x86-64 box.  Rectangles of up
-# to 4e9 cells (w*h) have at most ~2.2e5 lines.
+# RectanglePlan._lines holds two ints per triangle line: 10**6 lines take
+# ~0.3 s and ~80 MiB on a 2-CPU x86-64 box; 4e9-cell rectangles have ~2.2e5.
 _MAX_LINES = 10 ** 6
 
 
@@ -320,12 +320,8 @@ class RectanglePlan:
     def _reduce(self, xy, dims):
         x, y = xy
         if self.delta == (1, 0):
-            if dims[0] > 0:
-                x %= dims[0]
-        else:
-            if dims[1] > 0:
-                y %= dims[1]
-        return (x, y)
+            return (x % dims[0] if dims[0] else x, y)
+        return (x, y % dims[1] if dims[1] else y)
 
     def cells(self, kprime):
         """Mapping (x, y) -> (mu, tau) for every cell of the rectangle.
@@ -351,72 +347,85 @@ class RectanglePlan:
         self._cells[kprime] = out
         return out
 
-    def _rows(self, kprime):
-        """The rectangle as pieces (y, x, n, l1, l2, l3, d1, d2, d3), the
-        cells (x + i, y) of (l1, l2, l3) + i (d1, d2, d3) for i < n, in (y, x)
-        order, or None unless they tile it exactly once.  Shipped maps keep y
-        fixed along a unit direction of the triangle, x rising by one; each
-        line along it is one row piece, affine in the line index, split
-        where x wraps mod w.  Other maps give None.  The sorted pieces tile
-        iff each starts where the last ended, rows ending at x = w.
-        """
-        w, h = self.dims(kprime)
+    def _wrapped(self, dims, s, first, slope):
+        """(j, i, y, x, n) per piece of the lines of _lines: cells i .. i + n
+        - 1 of line j, the step axis reduced (_reduce), split where x wraps."""
+        for j, n in enumerate(range(s + 1, 0, -1)):
+            x, y = self._reduce((first[0] + slope[0] * j,
+                                 first[1] + slope[1] * j), dims)
+            yield j, 0, y, x, min(n, dims[0] - x)
+            if x + n > dims[0]:
+                yield j, dims[0] - x, y, 0, x + n - dims[0]
+
+    def _lines(self, kprime):
+        """The triangle lines at k', (s, first, slope, step) per placement,
+        if they tile the rectangle exactly once, else None.  Line j = 0 ..
+        s is s + 1 - j cells from first + j slope in (x, y, l1, l2, l3),
+        lambda moving by step: y fixed, x rising by one (a map with no such
+        unit direction gives None).  At L = y w + x, pieces [L, L + n) inside
+        their rows cover L #{starts <= L} - #{ends <= L} times, so they tile
+        iff the starts with w h and the ends with 0 are one multiset, the
+        count then being [0 <= L] - [w h <= L].  Lines inside [0, dimension)
+        on the step axis give two progressions in j; _wrapped splits the
+        others, keeping each line's length (one longer than w overlaps
+        itself).  On y-axis plans x is checked at j = 0 and s."""
+        w, h = dims = self.dims(kprime)
         k = self.k_for(kprime)
         lines = sum(max(0, k - off + 1) for _, off, _ in self.placements)
         if lines > _MAX_LINES:
             raise ValueError("input too large: %d triangle lines, more than "
                              "%d" % (lines, _MAX_LINES))
-        if w == 0 or h == 0:
-            return None if lines else []
-        x_wraps = self.delta == (1, 0)
-        pieces = []
+        axis = self.delta.index(1)
+        out, starts, ends = [], [w * h], [0]
         for mu, off, mp in self.placements:
-            s = k - off  # below 0: no lengths, so zip yields no line
             rows = (*mp.matrix, *_V3)  # x, y, l1, l2, l3 as functions of tau
             for p, q, r in permutations(range(3)):
                 if rows[1][q] == rows[1][r] and rows[0][q] - rows[0][r] == 1:
                     break
             else:
                 return None
+            s = k - off
             # line j: tau_p = j, tau_q rising from 0, tau_r falling from s - j
             first = [f[r] * s + o for f, o in zip(rows, (*mp.offset, *mu))]
             slope = [f[p] - f[r] for f in rows]
-            step = [f[q] - f[r] for f in rows[2:]]
-            xs, ys, *lams = [_progression(a, b, s + 1)
-                             for a, b in zip(first, slope)]
-            line = zip(ys if x_wraps else map(h.__rmod__, ys), xs,
-                       range(s + 1, 0, -1), *lams, *map(repeat, step))
-            last = first[0] + slope[0] * s  # x of the one cell of line s
-            if not x_wraps or (min(first[0], last) >= 0
-                               and max(first[0] + s, last) < w):
-                pieces.extend(line)
-                continue
-            for y, x, n, *lam in line:  # split where x wraps
-                x %= w
-                cut = min(n, w - x)
-                pieces.append((y, x, cut, *lam))
-                if cut < n:
-                    pieces.append((y, 0, n - cut, *(l + cut * d for l, d in
-                                                    zip(lam, step)), *step))
-        pieces.sort()
-        y = x = 0
-        for piece in pieces:
-            if piece[0] != y or piece[1] != x:
+            out.append((s, first, slope, [f[q] - f[r] for f in rows[2:]]))
+            x, y, dx, dy = first[0], first[1], slope[0], slope[1]
+            if axis and s >= 0 and (min(x, x + dx * s) < 0
+                                    or max(x + s, x + dx * s) >= w):
                 return None
-            x += piece[2]
-            if x == w:
-                y, x = y + 1, 0
-        return pieces if (y, x) == (h, 0) else None
+            u, v = first[axis], first[axis] + slope[axis] * s
+            if 0 <= min(u, v) and max(u + s * (1 - axis), v) < dims[axis]:
+                a, b = y * w + x, dy * w + dx
+                starts.extend(_progression(a, b, s + 1))
+                ends.extend(_progression(a + s + 1, b - 1, s + 1))
+                continue
+            for _, _, y, x, n in self._wrapped(dims, s, first, slope):
+                starts.append(y * w + x)
+                ends.append(y * w + x + n)
+        starts.sort()
+        ends.sort()
+        return out if starts == ends else None
+
+    def _rows(self, kprime):
+        """The rectangle as pieces (y, x, n, l1, l2, l3, d1, d2, d3), the
+        cells (x + i, y) of (l1, l2, l3) + i (d1, d2, d3) for i < n, in (y, x)
+        order, from the lines _lines accepts, or None: for --cells-csv."""
+        lines, dims = self._lines(kprime), self.dims(kprime)
+        return None if lines is None else sorted(
+            (y, x, n, *[l + dl * j + d * i for l, dl, d in zip(
+                first[2:], slope[2:], step)], *step)
+            for s, first, slope, step in lines
+            for j, i, y, x, n in self._wrapped(dims, s, first, slope))
 
     def verify_cover(self, kprime):
         """Exhaustive disjoint-cover check for one k'.
 
-        Every cell is checked through row pieces (_rows).  On a failure or
-        a map _rows cannot read, the report, with its detail, comes from the
-        cell-by-cell reference cells()."""
+        Every cell is checked through the starts and ends of the lines of
+        the triangles (_lines).  On a failure the report, with its detail,
+        comes from the cell-by-cell reference cells()."""
         dims = self.dims(kprime)
         expected = dims[0] * dims[1]
-        if self._rows(kprime) is not None:
+        if self._lines(kprime) is not None:
             return CoverReport(True, expected, expected, "ok")
         try:
             got = len(self.cells(kprime))

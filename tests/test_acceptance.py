@@ -432,15 +432,15 @@ def test_20_row_sums_in_constant_time_per_parity(capsys):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from /proc/self/status")
 def test_21_rectangles_by_row_pieces(tmp_path):
-    # The cover check and the cells table walk one piece per line of a
-    # placed triangle, O(lines) memory, never one byte or one dict entry
-    # per cell: 5 2000 -- -1 has 3.0e8 cells, 1013 10 2m-2 3.3e8.
+    # The cover check holds two ints per line of a placed triangle and the
+    # cells table one piece, O(lines) memory, never one byte or one dict
+    # entry per cell: 5 2000 -- -1 has 3.0e8 cells, 1013 10 2m-2 3.3e8.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     target = tmp_path / "cells.csv"
     for argv, ceiling_mib in (
-            (["rectangle", "5", "2000", "--", "-1"], 64),
-            (["rectangle", "1013", "10", "2m-2"], 64),
+            (["rectangle", "5", "2000", "--", "-1"], 10),
+            (["rectangle", "1013", "10", "2m-2"], 10),
             (["rectangle", "--cells-csv", str(target), "101", "3", "2m-2"],
              16)):
         start = time.monotonic()
@@ -477,3 +477,24 @@ def test_22_crank_text_from_decimal_tables():
     cycles = len(permutation_cycles(row_permutation(4001, 5)))
     assert sink.lines == 6 * count_bruteforce(4001) + 8 * cycles + 14
     assert elapsed < 0.35, elapsed
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_23_rectangle_covers_from_line_boundaries():
+    # 989,997 triangle lines, just under the bound: the cover check holds
+    # the starts and ends of the lines as two lists of ints, no piece
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = ["rectangle", "5", "33000", "0"]
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                          capture_output=True, env=env, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) <= 128 * 1024, proc.stdout
+    sink = _Sink()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(sink):
+        code = cli.main(argv)
+    elapsed = time.monotonic() - start
+    assert code == 0 and sink.lines > 0
+    assert elapsed < 0.6, elapsed

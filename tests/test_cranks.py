@@ -530,7 +530,8 @@ def test_cover_runs_match_cells(m):
         for kprime in range(5):
             rep = plan.verify_cover(kprime)
             assert rep == _cover_from_cells(plan, kprime), (plan, kprime)
-            # the row route itself accepts, not the fallback behind it
+            # the boundary check itself accepts, not the fallback behind it
+            assert (plan._lines(kprime) is not None) is rep.ok, (plan, kprime)
             rows = plan._rows(kprime)
             assert (rows is not None) is rep.ok, (plan, kprime)
             assert _expand(rows) == _cells_in_row_order(plan, kprime), (
@@ -560,6 +561,7 @@ def test_cover_runs_on_mirrored_plans(m):
                              lambda off: tuple(o + wrap * (i == axis)
                                                for i, o in enumerate(off)))
             for moved in (mirrored, shifted):
+                assert moved._lines(kprime) is not None, (label, kprime)
                 rows = moved._rows(kprime)
                 assert rows is not None, (label, kprime)
                 assert _expand(rows) == _cells_in_row_order(moved, kprime), (
@@ -597,6 +599,7 @@ def test_cover_runs_match_cells_on_broken_plans(m):
                 ("covered ", _replan(plan, plan.placements[:-1])),
             ]
             for kind, bad in broken:
+                assert bad._lines(kprime) is None, (label, kind, kprime)
                 assert bad._rows(kprime) is None, (label, kind, kprime)
                 rep = bad.verify_cover(kprime)
                 assert rep == _cover_from_cells(bad, kprime), (label, kind, kprime)
@@ -606,10 +609,42 @@ def test_cover_runs_match_cells_on_broken_plans(m):
             mu, _, mp = plan.placements[0]
             bad = _replan(plan, [(mu, plan.k_for(0), mp)]
                           + plan.placements[1:])
-            assert bad._rows(0) is None, label
+            assert bad._lines(0) is None and bad._rows(0) is None, label
             rep = bad.verify_cover(0)
             assert rep == _cover_from_cells(bad, 0), label
             assert not rep.ok and "outside" in rep.detail, (label, rep)
+
+
+def _staircases(delta, w, h, stairs):
+    """A w x h plan at k' = 0 of one staircase triangle per (x, y, s): row
+    y + j holds the cells x .. x + s - j, for j = 0 .. s."""
+    placements = [((i, 0, 0), -s, AffineMap2(((0, 1, 0), (1, 0, 0)), (x, y)))
+                  for i, (x, y, s) in enumerate(stairs)]
+    return RectanglePlan("stairs", 0, 5, (0, w), (0, h), 0, placements,
+                         (1, 0, 0) if delta == (1, 0) else (0, 1, 0), delta)
+
+
+def test_cover_bounds_on_lines():
+    # The broken y-axis layouts still cover [0, w h) once in the linear
+    # positions L = y w + x, so only the bounds on x reject them.
+    def check(plan, ok):
+        rep = plan.verify_cover(0)
+        assert rep == _cover_from_cells(plan, 0) and rep.ok is ok, rep
+        assert (plan._lines(0) is not None) is ok
+    # y-axis plans take x as it is: a cell at x = -1 of row 1 is L = 1, a
+    # line of two cells from (1, 0) is L = 1, 2 (the cell (0, 1))
+    cells = [(x, y, 0) for y in range(5) for x in range(2)]
+    check(_staircases((0, 1), 2, 5, cells), True)
+    check(_staircases((0, 1), 2, 5, [(-1, 1, 0)] + cells[:1] + cells[2:]),
+          False)
+    check(_staircases((0, 1), 2, 5, [(1, 0, 1)] + cells[:1] + cells[4:]),
+          False)
+    # x-axis plans take y as it is: a cell at y = h or y = -1 would land
+    # on (0, 0) mod h, and falls outside [0, w h) instead
+    cells = [(x, y, 0) for y in range(2) for x in range(5)]
+    check(_staircases((1, 0), 5, 2, cells), True)
+    check(_staircases((1, 0), 5, 2, [(0, 2, 0)] + cells[1:]), False)
+    check(_staircases((1, 0), 5, 2, [(0, -1, 0)] + cells[1:]), False)
 
 
 def test_cover_off_the_row_shape_falls_back_to_cells():
@@ -651,6 +686,9 @@ def test_affine_map_validation():
         AffineMap2(((1, 1, 1), (0, 0, 0)), (0, 0))  # constant on triangles
     with pytest.raises(ValueError):
         AffineMap2(((1, 0), (0, 1)), (0, 0))  # wrong shape
+    with pytest.raises(ValueError, match="not injective"):
+        # (0, 0, 5) and (4, 1, 0) both go to (0, 0)
+        AffineMap2(((1, -4, 0), (2, -8, 0)), (0, 0))
     mp = AffineMap2(((1, 0, 0), (0, 1, 0)), (3, 4))
     assert mp.apply((2, 5, 1)) == (5, 9)
     assert mp == AffineMap2(((1, 0, 0), (0, 1, 0)), (3, 4))
