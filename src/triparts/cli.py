@@ -26,7 +26,6 @@ from . import __version__
 from .congruence import _non_witnessed, characterize
 from .cranks import (
     _cycle_runs,
-    _progression,
     c_ls,  # unused here; bench/test_bench.py traces this binding
     c_ls_histogram,
     c_ls_histograms,
@@ -224,11 +223,25 @@ def cmd_histogram(args):
 # indent=2) or csv.writer(lineterminator="\r\n") would.  Along a row run l1
 # and c_ls = l1 - t rise by one, l2 falls by one and lambda3 = t is fixed: one
 # forward slice of each per-call table of decimal strings, separators fused
-# in.  A cycle starts at a border (n-2t, t, t); m divides its size.
+# in.  The CSV position comes from two 1000-entry tables (_position_pieces).
+# A cycle starts at a border (n-2t, t, t); m divides its size.
 _CYCLES_HEAD = ('{\n  "command": "cycles",\n  "inputs": {\n    "m": %d,\n'
                 '    "n": %d\n  },\n  "outcome": "success",\n'
                 '  "payload": {\n    "cycles": [\n')
 _CYCLES_TAIL = '\n    ],\n    "lengths": [\n%s\n    ]\n  }\n}\n'
+
+
+def _position_pieces(ci, pos, k, units, padded):
+    """Two piece streams whose rows join to "ci,p" for p = pos .. pos + k - 1,
+    split at the multiples of 1000: "ci," and units[p] below 1000, "ci,q"
+    and padded[r] for p = 1000 q + r past it (units and padded hold "%d"
+    and "%03d" of 0 .. 999)."""
+    heads, digits = [], []
+    for start in range(pos - pos % 1000, pos + k, 1000):
+        q, a, b = start // 1000, max(pos - start, 0), min(pos + k - start, 1000)
+        heads.append(repeat("%d,%d" % (ci, q) if q else "%d," % ci, b - a))
+        digits.append((padded if q else units)[a:b])
+    return chain.from_iterable(heads), chain.from_iterable(digits)
 
 
 def cmd_cycles(args):
@@ -239,7 +252,9 @@ def cmd_cycles(args):
                    "%d,\n            ") if as_json else (",%d,", "%d,"))
     l1s = [fmt1 % l1 for l1 in range(n - 1)]
     l2s = [fmt2 % l2 for l2 in range(top, 0, -1)]
-    cranks = [] if as_json else ["%d\r\n" % (d % m) for d in range(n - 2)]
+    cranks, units, padded = ([], [], []) if as_json else (
+        ["%d\r\n" % (d % m) for d in range(n - 2)],
+        list(map(str, range(1000))), ["%03d" % r for r in range(1000)])
     write = sys.stdout.write
     write(_CYCLES_HEAD % (m, n) if as_json else
           "cycle_index,position,lambda1,lambda2,lambda3,crank\r\n")
@@ -261,7 +276,7 @@ def cmd_cycles(args):
                 "\n        ]\n      }"]))
         else:
             write("".join(["".join(chain.from_iterable(zip(
-                repeat("%d," % ci), map(str, range(pos, pos + k)),
+                *_position_pieces(ci, pos, k, units, padded),
                 l1s[n - t - l2:n - t - l2 + k], l2s[top - l2:top - l2 + k],
                 repeat("%d," % t), cranks[n - 2 * t - l2:n - 2 * t - l2 + k])))
                 for pos, (t, l2, k) in zip(
@@ -269,6 +284,12 @@ def cmd_cycles(args):
     if as_json:
         write(_CYCLES_TAIL % ",\n".join(["      %d" % k for k in sizes]))
     return 0
+
+
+def _stepped(table, a, d, k):
+    """table[a], table[a + d], .., table[a + (k-1) d]."""
+    return (table[a:a + d * k if a + d * k >= 0 else None:d] if d
+            else repeat(table[a], k))
 
 
 def cmd_rectangle(args):
@@ -303,14 +324,19 @@ def cmd_rectangle(args):
                   {"m": args.m, "k_prime": args.k_prime, "r_prime": label},
                   "success" if report.ok else "failure", payload)
     if args.cells_csv and report.ok and not vacuous:
-        try:  # csv.writer's bytes, one row piece at a time
+        # csv.writer's bytes, a row piece at a time, joined from slices of
+        # per-call tables of decimal strings: x, lambda1 and lambda2 from
+        # one, lambda3 with the line end from the other
+        commas = ["%d," % v for v in range(max(dims[0], n + 1))]
+        ends = ["%d\r\n" % v for v in range(n + 1)]
+        try:
             with open(args.cells_csv, "w", newline="") as fp:
                 fp.write("x,y,lambda1,lambda2,lambda3\r\n")
-                for y, x, n, *lam in plan._rows(args.k_prime):
-                    fp.write(("%%d,%d,%%d,%%d,%%d\r\n" % y) * n % tuple(
-                        chain.from_iterable(zip(range(x, x + n), *(
-                            _progression(l, d, n)
-                            for l, d in zip(lam, lam[3:]))))))
+                for y, x, k, *lam in plan._rows(args.k_prime):
+                    fp.write("".join(chain.from_iterable(zip(
+                        commas[x:x + k], repeat("%d," % y), *(
+                            _stepped(table, l, d, k) for table, l, d in zip(
+                                (commas, commas, ends), lam, lam[3:]))))))
         except OSError as exc:
             raise ValueError("cannot write %s: %s" % (args.cells_csv, exc))
     return 0 if report.ok else 1

@@ -329,7 +329,7 @@ def test_18_crank_exports_stream_from_row_runs(tmp_path):
     elapsed = time.monotonic() - start
     assert code == 0
     assert sink.lines == 1 + count_bruteforce(4001)
-    assert elapsed < 1.0, elapsed
+    assert elapsed < 0.5, elapsed
     target = tmp_path / "t2400.svg"
     start = time.monotonic()
     code = cli.main(["tile", "2400", str(target)])
@@ -498,3 +498,33 @@ def test_23_rectangle_covers_from_line_boundaries():
     elapsed = time.monotonic() - start
     assert code == 0 and sink.lines > 0
     assert elapsed < 0.6, elapsed
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_24_cells_csv_from_decimal_tables(tmp_path):
+    # each row piece joins slices of per-call tables of decimal strings
+    # (x, and the parts 0 .. n), so no number is formatted per cell: a
+    # 77 MB table of 3.5e6 cells, the same bytes as before the tables
+    target = tmp_path / "cells.csv"
+    argv = ["rectangle", "--cells-csv", str(target), "101", "10", "2m-2"]
+    sink = _Sink()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(sink):
+        code = cli.main(argv)
+    elapsed = time.monotonic() - start
+    assert code == 0 and sink.lines > 0
+    assert elapsed < 1.0, elapsed
+    digest = hashlib.sha256()
+    with open(target, "rb") as fp:
+        for block in iter(lambda: fp.read(1 << 20), b""):
+            digest.update(block)
+    assert digest.hexdigest() == (
+        "42495ef9f2400891b08ee0300dbedb398ab956d6ce869fdd323e7f56b09d5a11")
+    target.unlink()
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                          capture_output=True, env=env, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) <= 16 * 1024, proc.stdout

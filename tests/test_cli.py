@@ -395,6 +395,21 @@ def test_long_cycles_match_stdlib_encoders(capsys, n, m, fmt):
     assert out == _cycles_reference(n, m, fmt)
 
 
+# Runs that start at or straddle 999|1000, 99999|100000 and 999999|1000000,
+# runs longer than one block, empty runs and positions past 10**9 (q >= 1000)
+@pytest.mark.parametrize("ci,pos,k", [
+    (0, 0, 0), (0, 0, 1), (3, 0, 1000), (3, 999, 1), (3, 999, 2),
+    (3, 1000, 1), (3, 990, 2500), (3, 1500, 0), (12, 99999, 1),
+    (12, 99990, 20), (12, 100000, 5), (12, 999999, 1), (12, 999000, 3001),
+    (41, 10 ** 9, 1), (41, 10 ** 9 - 5, 1010), (41, 10 ** 9 + 123456, 7)])
+def test_position_pieces_match_str(ci, pos, k):
+    units = ["%d" % r for r in range(1000)]
+    padded = ["%03d" % r for r in range(1000)]
+    heads, digits = cli._position_pieces(ci, pos, k, units, padded)
+    assert [head + text for head, text in zip(heads, digits)] == [
+        "%d,%s" % (ci, text) for text in map(str, range(pos, pos + k))]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True],
                          ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -661,6 +676,10 @@ GOLDEN_STDOUT = [
      "fce431bb2a34400b49d6a138c48311d6ca205de0f065acc9310b7ec90b8c8282"),
     (("histogram", "18853", "97"),
      "9fa8f0e7481056460f42fbf7af5bc144a261245c1bcd07a69b494f9d58d9c4d9"),
+    # recorded before the CSV position column was joined from tables of
+    # decimal strings: cycles of 154,000 members, positions past 10**5
+    (("cycles", "2002", "5", "--format", "csv"),
+     "1cffd5635bf6ff6ff4163403e2cbceb5d6ab4c1c6e89ea4a1f0346e92d6d781c"),
 ]
 
 
