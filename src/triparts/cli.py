@@ -264,16 +264,23 @@ def cmd_cycles(args):
         if as_json:
             period = ",\n".join(["          %d" % (c % m)
                                  for c in range(n - 3 * t0, n - 3 * t0 + m)])
-            write("".join([
+            # the head, three pieces a member past the border, the tail;
+            # each row run fills every third slot by slice assignment
+            pieces = [None] * (3 * size - 1)
+            pieces[0] = "".join([
                 '%s      {\n        "cranks": [\n' % (",\n" if ci else ""),
                 ",\n".join(repeat(period, size // m)),
                 '\n        ],\n        "length": %d,\n        "partitions": '
                 '[\n          [\n            %d,\n            %d,\n'
-                '            %d\n          ]' % (size, n - 2 * t0, t0, t0),
-                *chain.from_iterable(chain.from_iterable(zip(
-                    l1s[n - t - l2:n - t - l2 + k], l2s[top - l2:top - l2 + k],
-                    repeat("%d\n          ]" % t))) for t, l2, k in runs[1:]),
-                "\n        ]\n      }"]))
+                '            %d\n          ]' % (size, n - 2 * t0, t0, t0)])
+            pieces[-1] = "\n        ]\n      }"
+            i = 1
+            for t, l2, k in runs[1:]:
+                a, b, i = n - t - l2, top - l2, i + 3 * k
+                pieces[i - 3 * k:i:3] = l1s[a:a + k]
+                pieces[i - 3 * k + 1:i:3] = l2s[b:b + k]
+                pieces[i - 3 * k + 2:i:3] = ["%d\n          ]" % t] * k
+            write("".join(pieces))
         else:
             write("".join(["".join(chain.from_iterable(zip(
                 *_position_pieces(ci, pos, k, units, padded),
