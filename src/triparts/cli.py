@@ -6,12 +6,12 @@ envelope (documented in docs/cli-schema.json) and written byte for byte as
 json.dumps(report, sort_keys=True, indent=2) would write it; `decompose`
 emits the bare {"mu": ..., "tau": ...} object.  CSV uses CRLF line
 endings with fixed column orders.  Exit codes: 0 success, 1 verification
-failure, 2 input error or a stdout closed before all output was written
-(one `error:` line on stderr, no traceback).  A failed internal proof
-check (an AssertionError, such as row_permutation finding a border jump
-that does not raise c_ls by one) is a verification failure: exit 1,
-nothing on stdout, one `error: internal check failed: ...` line on
-stderr.  All output is deterministic for identical inputs.
+failure, 2 input error or a stdout that fails before all output is
+written, closed or full (one `error:` line on stderr, no traceback).  A
+failed internal proof check (an AssertionError, such as row_permutation
+finding a border jump that does not raise c_ls by one) is a verification
+failure: exit 1, nothing on stdout, one `error: internal check failed:
+...` line on stderr.  All output is deterministic for identical inputs.
 """
 
 import argparse
@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import sys
-from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as encode_str
 
 from . import __version__
@@ -220,36 +219,51 @@ def cmd_histogram(args):
 
 
 # `cycles` writes a cycle at once, as json.dumps(report, sort_keys=True,
-# indent=2) or csv.writer(lineterminator="\r\n") would.  Along a row run l1
-# and c_ls = l1 - t rise by one, l2 falls by one and lambda3 = t is fixed: one
-# forward slice of each per-call table of decimal strings, separators fused
-# in.  The CSV position comes from two 1000-entry tables (_position_pieces).
-# A cycle starts at a border (n-2t, t, t); m divides its size.
+# indent=2) or csv.writer(lineterminator="\r\n") would: one pre-sized list
+# of pieces, one join and one write.  Along a row run l1 and c_ls = l1 - t
+# rise by one, l2 falls by one and lambda3 = t is fixed, so _lay fills each
+# run's columns from one forward slice of each per-call table of decimal
+# strings, separators fused in.  The CSV position comes from two 1000-entry
+# tables (_position_pieces).  A cycle starts at a border (n-2t, t, t); m
+# divides its size.
 _CYCLES_HEAD = ('{\n  "command": "cycles",\n  "inputs": {\n    "m": %d,\n'
                 '    "n": %d\n  },\n  "outcome": "success",\n'
                 '  "payload": {\n    "cycles": [\n')
 _CYCLES_TAIL = '\n    ],\n    "lengths": [\n%s\n    ]\n  }\n}\n'
 
 
+def _lay(pieces, i, k, *columns):
+    """Lay k rows of the columns into pieces from index i on, row after
+    row (pieces[i + c j + col] = columns[col][j] for c columns), with one
+    extended-slice assignment per column.  Returns the index past them."""
+    step = len(columns)
+    end = i + step * k
+    for column in columns:
+        pieces[i:end:step] = column
+        i += 1
+    return end
+
+
 def _position_pieces(ci, pos, k, units, padded):
-    """Two piece streams whose rows join to "ci,p" for p = pos .. pos + k - 1,
+    """Two piece lists whose rows join to "ci,p" for p = pos .. pos + k - 1,
     split at the multiples of 1000: "ci," and units[p] below 1000, "ci,q"
     and padded[r] for p = 1000 q + r past it (units and padded hold "%d"
     and "%03d" of 0 .. 999)."""
     heads, digits = [], []
     for start in range(pos - pos % 1000, pos + k, 1000):
         q, a, b = start // 1000, max(pos - start, 0), min(pos + k - start, 1000)
-        heads.append(repeat("%d,%d" % (ci, q) if q else "%d," % ci, b - a))
-        digits.append((padded if q else units)[a:b])
-    return chain.from_iterable(heads), chain.from_iterable(digits)
+        heads += ["%d,%d" % (ci, q) if q else "%d," % ci] * (b - a)
+        digits += (padded if q else units)[a:b]
+    return heads, digits
 
 
 def cmd_cycles(args):
     n, m, as_json = args.n, args.m, args.format == "json"
     cycle_runs = _cycle_runs(n, m)  # checked before the first byte
     top = (n - 1) // 2  # the largest l2
-    fmt1, fmt2 = ((",\n          [\n            %d,\n            ",
-                   "%d,\n            ") if as_json else (",%d,", "%d,"))
+    fmt1, fmt2, fmt3 = ((",\n          [\n            %d,\n            ",
+                         "%d,\n            ", "%d\n          ]")
+                        if as_json else (",%d,", "%d,", "%d,"))
     l1s = [fmt1 % l1 for l1 in range(n - 1)]
     l2s = [fmt2 % l2 for l2 in range(top, 0, -1)]
     cranks, units, padded = ([], [], []) if as_json else (
@@ -260,34 +274,25 @@ def cmd_cycles(args):
           "cycle_index,position,lambda1,lambda2,lambda3,crank\r\n")
     sizes = [sum(run[2] for run in runs) for runs in cycle_runs]
     for ci, (runs, size) in enumerate(zip(cycle_runs, sizes)):
-        t0 = runs[0][0]
+        # the JSON head, then 3 (JSON) or 6 (CSV) pieces a member, the tail
+        pieces, i = [""] * ((3 if as_json else 6) * size + 2), 1
+        for t, l2, k in runs:  # a CSV member's position is (i - 1) / 6
+            a, b = n - t - l2, top - l2
+            row = l1s[a:a + k], l2s[b:b + k], [fmt3 % t] * k
+            i = (_lay(pieces, i, k, *row) if as_json else _lay(
+                pieces, i, k, *_position_pieces(ci, i // 6, k, units, padded),
+                *row, cranks[a - t:a - t + k]))
         if as_json:
-            period = ",\n".join(["          %d" % (c % m)
-                                 for c in range(n - 3 * t0, n - 3 * t0 + m)])
-            # the head, three pieces a member past the border, the tail;
-            # each row run fills every third slot by slice assignment
-            pieces = [None] * (3 * size - 1)
-            pieces[0] = "".join([
-                '%s      {\n        "cranks": [\n' % (",\n" if ci else ""),
-                ",\n".join(repeat(period, size // m)),
-                '\n        ],\n        "length": %d,\n        "partitions": '
-                '[\n          [\n            %d,\n            %d,\n'
-                '            %d\n          ]' % (size, n - 2 * t0, t0, t0)])
-            pieces[-1] = "\n        ]\n      }"
-            i = 1
-            for t, l2, k in runs[1:]:
-                a, b, i = n - t - l2, top - l2, i + 3 * k
-                pieces[i - 3 * k:i:3] = l1s[a:a + k]
-                pieces[i - 3 * k + 1:i:3] = l2s[b:b + k]
-                pieces[i - 3 * k + 2:i:3] = ["%d\n          ]" % t] * k
-            write("".join(pieces))
-        else:
-            write("".join(["".join(chain.from_iterable(zip(
-                *_position_pieces(ci, pos, k, units, padded),
-                l1s[n - t - l2:n - t - l2 + k], l2s[top - l2:top - l2 + k],
-                repeat("%d," % t), cranks[n - 2 * t - l2:n - 2 * t - l2 + k])))
-                for pos, (t, l2, k) in zip(
-                    accumulate((run[2] for run in runs), initial=0), runs)]))
+            # m cranks on from the border's c_ls, n - 3t
+            period = ",\n".join(["          %d" % (c % m) for c in range(
+                n - 3 * runs[0][0], n - 3 * runs[0][0] + m)])
+            pieces[0] = ('%s      {\n        "cranks": [\n%s\n        ],\n'
+                         '        "length": %d,\n        "partitions": ['
+                         % (",\n" if ci else "",
+                            ",\n".join([period] * (size // m)), size))
+            # the border member has no leading comma
+            pieces[1], pieces[-1] = pieces[1][1:], "\n        ]\n      }"
+        write("".join(pieces))
     if as_json:
         write(_CYCLES_TAIL % ",\n".join(["      %d" % k for k in sizes]))
     return 0
@@ -296,7 +301,7 @@ def cmd_cycles(args):
 def _stepped(table, a, d, k):
     """table[a], table[a + d], .., table[a + (k-1) d]."""
     return (table[a:a + d * k if a + d * k >= 0 else None:d] if d
-            else repeat(table[a], k))
+            else [table[a]] * k)
 
 
 def cmd_rectangle(args):
@@ -331,8 +336,8 @@ def cmd_rectangle(args):
                   {"m": args.m, "k_prime": args.k_prime, "r_prime": label},
                   "success" if report.ok else "failure", payload)
     if args.cells_csv and report.ok and not vacuous:
-        # csv.writer's bytes, a row piece at a time, joined from slices of
-        # per-call tables of decimal strings: x, lambda1 and lambda2 from
+        # csv.writer's bytes, a row piece at a time, laid (_lay) from slices
+        # of per-call tables of decimal strings: x, lambda1 and lambda2 from
         # one, lambda3 with the line end from the other
         commas = ["%d," % v for v in range(max(dims[0], n + 1))]
         ends = ["%d\r\n" % v for v in range(n + 1)]
@@ -340,10 +345,11 @@ def cmd_rectangle(args):
             with open(args.cells_csv, "w", newline="") as fp:
                 fp.write("x,y,lambda1,lambda2,lambda3\r\n")
                 for y, x, k, *lam in plan._rows(args.k_prime):
-                    fp.write("".join(chain.from_iterable(zip(
-                        commas[x:x + k], repeat("%d," % y), *(
-                            _stepped(table, l, d, k) for table, l, d in zip(
-                                (commas, commas, ends), lam, lam[3:]))))))
+                    pieces = [""] * (5 * k)
+                    _lay(pieces, 0, k, commas[x:x + k], ["%d," % y] * k,
+                         *(_stepped(table, l, d, k) for table, l, d in zip(
+                             (commas, commas, ends), lam, lam[3:])))
+                    fp.write("".join(pieces))
         except OSError as exc:
             raise ValueError("cannot write %s: %s" % (args.cells_csv, exc))
     return 0 if report.ok else 1
@@ -353,7 +359,8 @@ def _tiling_chunks(n):
     """render_tiling_svg in chunks.  P(n,3) has the box remainders mu with
     |mu| <= n, |mu| = n mod 6 (|V3 tau| = 6 |tau|).  mu fixes l1 - l2 mod 6,
     so at each l1 its partitions are a run of l2 stepping by -6: one chunk
-    each, one forward slice of each per-call table of decimal strings."""
+    each, laid (_lay) from one forward slice of each per-call table of
+    decimal strings."""
     order = sorted(mu for h, pts in fundamental_points().items()
                    if h <= n and (n - h) % 6 == 0 for mu in pts)
     scale, radius, margin, legend_w = 18, 6, 40, 270
@@ -381,10 +388,11 @@ def _tiling_chunks(n):
             l2 = hi - (hi - l1 + mu[0] - mu[1]) % 6  # the run's largest l2
             k = max(0, (l2 - lo) // 6 + 1)
             l3, ix, size = n - l1 - l2, xmax - (2 * l2 + l1 - n), size + k
-            yield "".join(chain.from_iterable(zip(
-                cxs[ix:ix + 12 * k:12], cys[l3:l3 + 6 * k:6],
-                repeat("%d+" % l1, k), l2s[top - l2:top - l2 + 6 * k:6],
-                l3s[l3:l3 + 6 * k:6])))
+            pieces = [""] * (5 * k)
+            _lay(pieces, 0, k, cxs[ix:ix + 12 * k:12], cys[l3:l3 + 6 * k:6],
+                 ["%d+" % l1] * k, l2s[top - l2:top - l2 + 6 * k:6],
+                 l3s[l3:l3 + 6 * k:6])
+            yield "".join(pieces)
         lx, ly = 2 * margin + xmax * scale + 20, margin + gi * 22
         yield ('</g>\n<rect x="%d" y="%d" width="12" height="12" fill="%s"/>\n'
                '<text x="%d" y="%d" font-family="monospace" font-size="13">'
@@ -510,13 +518,15 @@ def main(argv=None):
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader is gone: send the exit-time flush to devnull
+    except OSError as exc:
+        # stdout failed (EPIPE: the reader is gone, ENOSPC: a full device;
+        # file paths fail as ValueError): send the exit-time flush to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("error: stdout closed before all output was written",
-              file=sys.stderr)
+        print("error: stdout closed before all output was written"
+              if isinstance(exc, BrokenPipeError) else
+              "error: cannot write to stdout: %s" % exc, file=sys.stderr)
         return 2
     except AssertionError as exc:
         print("error: internal check failed: %s" % exc, file=sys.stderr)

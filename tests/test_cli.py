@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -162,6 +163,39 @@ def test_verify_plus_family_notes_exceptions(capsys):
     assert doc["payload"]["non_witnessed_residues"] == [9, 33]
     assert 9 in doc["payload"]["non_witnessed_nonuniform_heights"]
     assert any("non-witnessed" in note for note in doc["payload"]["notes"])
+
+
+def test_verify_reports_a_characterization_mismatch(capsys, monkeypatch):
+    # residue 8 left out for m = 5: p(8,3) = 5 is divisible, so the sweep
+    # stops at n = 8 with no uniformity findings
+    characterize = cli.characterize
+    monkeypatch.setattr(cli, "characterize", lambda m: characterize(
+        m)._replace(residues=characterize(m).residues - {8}))
+    code, out, _ = run(capsys, "verify", "5", "--max-n", "300")
+    assert code == 1
+    doc = check_schema(out)
+    assert doc["outcome"] == "failure"
+    assert doc["payload"]["characterization_ok"] is False
+    assert doc["payload"]["first_mismatch"] == 8
+    assert doc["payload"]["uniformity_violations"] == []
+    assert doc["payload"]["notes"] == []
+
+
+def test_verify_reports_uniformity_violations(capsys, monkeypatch):
+    # with no residue marked non-witnessed, the heights where c_ls is not
+    # uniform although 7 | p(n,3) count as violations: n = 9, 33 mod 42
+    monkeypatch.setattr(cli, "_non_witnessed", lambda ch: frozenset())
+    code, out, _ = run(capsys, "verify", "7", "--max-n", "300")
+    assert code == 1
+    doc = check_schema(out)
+    assert doc["outcome"] == "failure"
+    assert doc["payload"]["characterization_ok"] is True
+    assert doc["payload"]["first_mismatch"] is None
+    assert doc["payload"]["uniformity_violations"] == [
+        9, 33, 51, 75, 93, 117, 135, 159, 177, 201, 219, 243, 261, 285]
+    assert doc["payload"]["non_witnessed_residues"] == []
+    assert doc["payload"]["non_witnessed_nonuniform_heights"] == []
+    assert doc["payload"]["notes"] == []
 
 
 def test_verify_rejects_negative_max_n(capsys):
@@ -441,6 +475,44 @@ def test_stdout_closed_mid_stream_is_an_input_error(capsys, fmt, unbuffered):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["cycles", "401", "5"], ["count", "22"]],
+                         ids=["cycles", "count"])
+def test_full_stdout_is_an_input_error(argv, unbuffered):
+    # every write to /dev/full fails with ENOSPC
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "triparts.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to stdout: %s\n" % OSError(
+        errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_closed_stdout_message():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "triparts.cli", "cycles",
+                               "401", "5"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout closed before all output was written\n"
 
 
 def test_failed_internal_check_is_a_verification_failure(capsys, monkeypatch):

@@ -112,7 +112,7 @@ def test_row_histogram_rejects_bad_modulus():
             c_ls_histogram(10, m)
 
 
-@pytest.mark.parametrize("m", [5, 7, 11, 13, 97])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 9, 5, 7, 11, 13, 97])
 def test_recurrence_histograms_match_scalar_routes(m):
     heights = []
     for n, hist in c_ls_histograms(m, 600):
