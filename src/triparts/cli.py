@@ -355,12 +355,18 @@ def cmd_rectangle(args):
     return 0 if report.ok else 1
 
 
+# `tile` lays, joins and writes a block once it holds this many circles:
+# a chunk per run costs a join and a write each, a whole group leaves cache
+_TILE_BLOCK = 4096
+
+
 def _tiling_chunks(n):
     """render_tiling_svg in chunks.  P(n,3) has the box remainders mu with
     |mu| <= n, |mu| = n mod 6 (|V3 tau| = 6 |tau|).  mu fixes l1 - l2 mod 6,
-    so at each l1 its partitions are a run of l2 stepping by -6: one chunk
-    each, laid (_lay) from one forward slice of each per-call table of
-    decimal strings."""
+    so at each l1 its partitions are a run of l2 stepping by -6, added to
+    the group's five columns as one forward slice of each per-call table of
+    decimal strings.  Blocks of _TILE_BLOCK circles or more, and each
+    group's last, are laid (_lay) and joined as one chunk each."""
     order = sorted(mu for h, pts in fundamental_points().items()
                    if h <= n and (n - h) % 6 == 0 for mu in pts)
     scale, radius, margin, legend_w = 18, 6, 40, 270
@@ -377,22 +383,32 @@ def _tiling_chunks(n):
            for x in range(xmax, -1, -1)]
     cys = ['%d" r="%d"><title>' % (margin + (ymax - l3) * scale, radius)
            for l3 in range(ymax + 1)]
-    l2s = ["%d+" % l2 for l2 in range(top, 0, -1)]
+    l1s = ["%d+" % l1 for l1 in range(n)]
+    l2s = l1s[top:0:-1]
     l3s = ["%d</title></circle>\n" % l3 for l3 in range(ymax + 1)]
     for gi, mu in enumerate(order):
         color = "hsl(%d, 70%%, 45%%)" % ((gi * 360) // max(1, len(order)))
         yield '<g fill="%s">\n' % color
-        size = 0
-        for l1 in range(n - 2, (n + 2) // 3 - 1, -1):
-            hi, lo = min(l1, n - l1 - 1), (n - l1 + 1) // 2
-            l2 = hi - (hi - l1 + mu[0] - mu[1]) % 6  # the run's largest l2
-            k = max(0, (l2 - lo) // 6 + 1)
-            l3, ix, size = n - l1 - l2, xmax - (2 * l2 + l1 - n), size + k
-            pieces = [""] * (5 * k)
-            _lay(pieces, 0, k, cxs[ix:ix + 12 * k:12], cys[l3:l3 + 6 * k:6],
-                 ["%d+" % l1] * k, l2s[top - l2:top - l2 + 6 * k:6],
-                 l3s[l3:l3 + 6 * k:6])
-            yield "".join(pieces)
+        columns = cx, cy, c1, c2, c3 = [], [], [], [], []
+        size, last, d = 0, (n + 2) // 3, mu[0] - mu[1]
+        for l1 in range(n - 2, last - 1, -1):
+            hi, lo = l1 if 2 * l1 < n else n - l1 - 1, (n - l1 + 1) // 2
+            l2 = hi - (hi - l1 + d) % 6  # the run's largest l2
+            if l2 >= lo:
+                k = (l2 - lo) // 6 + 1
+                l3, ix = n - l1 - l2, xmax - (2 * l2 + l1 - n)
+                cx += cxs[ix:ix + 12 * k:12]
+                cy += cys[l3:l3 + 6 * k:6]
+                c1 += [l1s[l1]] * k
+                c2 += l2s[top - l2:top - l2 + 6 * k:6]
+                c3 += l3s[l3:l3 + 6 * k:6]
+            if len(cx) >= _TILE_BLOCK or l1 == last:
+                k = len(cx)
+                size, pieces = size + k, [""] * (5 * k)
+                _lay(pieces, 0, k, *columns)
+                yield "".join(pieces)
+                for column in columns:
+                    column.clear()
         lx, ly = 2 * margin + xmax * scale + 20, margin + gi * 22
         yield ('</g>\n<rect x="%d" y="%d" width="12" height="12" fill="%s"/>\n'
                '<text x="%d" y="%d" font-family="monospace" font-size="13">'

@@ -26,7 +26,6 @@ from .ehrhart import (
     box_compose,
     box_decompose,
     fundamental_points,
-    row_classes,
     triangle,
     v3_apply,
 )
@@ -45,12 +44,9 @@ def c_ls(lam, m):
 
 
 def histogram(n, m, crank):
-    """Class sizes of a crank statistic over P(n,3), by enumeration.
-
-    ``crank`` is called as crank(lam, m); c_ls can be passed directly.
-    This is the reference the row-level routes (c_ls_histogram,
-    table_histogram) are tested against, and the route that raises, naming
-    the first partition a crank rejects.
+    """Class sizes of a crank statistic over P(n,3), by enumeration:
+    crank(lam, m), such as c_ls.  The reference of c_ls_histogram and
+    table_histogram, and the route that names the partition a crank rejects.
     """
     counts = [0] * m
     for lam in enumerate_partitions(n):
@@ -64,42 +60,47 @@ def is_uniform(hist):
 
 
 def _from_cyclic_diff(diff, total, m):
-    """Class sizes from a cyclic difference array and the total size.
-
-    A run of L classes from s is +1 at s and -1 at (s + L) mod m, one class
-    of weight w +w at s and -w at (s + 1) mod m.  Prefix sums are then off
-    by whole laps (a run that wraps, or has L >= m): one constant for all
-    classes, which the total fixes exactly.
-    """
+    """Class sizes from a cyclic difference array and the total size.  A run
+    of L classes from s is +1 at s and -1 at s + L mod m, so prefix sums are
+    off by whole laps (a run that wraps, or has L >= m): one constant for
+    all classes, which the total fixes exactly."""
     counts = list(accumulate(diff))
     full, rest = divmod(total - sum(counts), m)
     assert rest == 0, "runs do not sum to %d mod %d" % (total, m)
     return CrankHistogram(m, tuple(map(full.__add__, counts)))
 
 
+def _add_progression(diff, a, b, k, w=1, dw=0):
+    """Add w + i dw at (a + i b) mod m = len(diff) for i < k, in O(m).  The
+    residues repeat every m terms, so term i < m lands c = k // m times, or
+    once more if i < k % m, with weights summing to c (w + i dw) + m dw
+    c (c - 1) / 2: one progression in i for each of the two values of c."""
+    m = len(diff)
+    q, r = divmod(k, m)
+    c, lo = q + 1, 0
+    for hi in r, min(k, m):  # terms lo .. hi - 1 land c times
+        x, dx = c * (w + dw * lo) + dw * m * c * (c - 1) // 2, c * dw
+        for p in _progression(a + b * lo, b, hi - lo):
+            diff[p % m] += x
+            x += dx
+        c, lo = q, r
+
+
 def c_ls_histogram(n, m):
     """The c_ls histogram of P(n,3) without enumerating partitions: O(m).
 
     Row t (smallest part t = 1 .. n//3) is the run G_k, k = n - 3t, of
-    differences l1 - l3 = ceil(k/2) .. k.  Mod m its cyclic difference
-    array is +1 at ceil(k/2) and -1 at k + 1, whatever its length.  Over
-    the rows the ends k + 1 form one progression of step -3, and the
-    starts two, one per parity of t.  The residues of K terms of step -3
-    repeat every m terms (their orbit's period m / gcd(3, m) divides m),
-    so term j < m lands K // m times, once more if j < K % m.  The total
-    p(n,3) finishes the counts (_from_cyclic_diff).
-    Cross-checked against histogram(n, m, c_ls) in the test suite.
+    differences l1 - l3 = ceil(k/2) .. k: +1 at ceil(k/2) and -1 at k + 1
+    in a cyclic difference array.  Over the rows the ends form one
+    progression of step -3, the starts one per parity of t.
     """
     if m <= 0:
         raise ValueError("modulus must be positive, got %r" % (m,))
     diff = [0] * m
     rows = n // 3
-    for first, terms, sign in ((n - 2, rows, -1),
-                               ((n - 2) // 2, (rows + 1) // 2, 1),
-                               ((n - 5) // 2, rows // 2, 1)):
-        q, r = divmod(terms, m)
-        for j in range(min(terms, m)):
-            diff[(first - 3 * j) % m] += sign * (q + (j < r))
+    _add_progression(diff, n - 2, -3, rows, -1)
+    _add_progression(diff, (n - 2) // 2, -3, (rows + 1) // 2)
+    _add_progression(diff, (n - 5) // 2, -3, rows // 2)
     return _from_cyclic_diff(diff, p3_nearest(n), m)
 
 
@@ -132,19 +133,18 @@ def c_ls_histograms(m, n_max):
 
 
 def table_histogram(n, m, table):
-    """The histogram of a crank given as a table, counted by row classes.
+    """The histogram of a crank given as a table, in O(m) at any n.
 
     ``table`` maps a box remainder mu to (a1, a2, a3, c): the crank of
     mu + V3 tau is (a1 t1 + a2 t2 + a3 t3 + c) mod m.  Along a row class
-    (ehrhart.row_classes) mu is fixed and tau moves by (-1, +1, 0), so the
-    crank moves by d = a2 - a1 per step and the class adds an arithmetic
-    run mod m.  Every table in the package has d in {-1, 0, 1} (others
-    are rejected), so a run is a cyclic interval of classes, or one class
-    for d = 0, counted by _from_cyclic_diff: O(n + m) for at most n
-    classes.  Returns None when a class's remainder has no entry.  Every
-    shipped table places all remainders of one height class mod 6 and no
-    others, so it then places no partition of n, and the crank rejects the
-    first one, (n-2, 1, 1), as histogram(n, m, crank) would.
+    (ehrhart.row_classes) tau moves by (-1, +1, 0): its L members step by
+    d = a2 - a1 in {-1, 0, 1} (others are rejected) from the head's crank s.
+    The classes fall into six families by (t mod 2, j = first - t): as t
+    moves by 2 the head (n-2t-j, t+j, t) moves by V3 (-1, 0, 1), so mu is
+    fixed, s moves by a3 - a1 and L drops by one, which _add_progression
+    bins.  Returns None when a remainder has no entry: every shipped table
+    places whole height classes mod 6, so it then places no partition of n,
+    and the crank rejects the first, (n-2, 1, 1), as histogram() would.
     """
     if m <= 0:
         raise ValueError("modulus must be positive, got %r" % (m,))
@@ -152,22 +152,26 @@ def table_histogram(n, m, table):
         if a2 - a1 not in (-1, 0, 1):
             raise ValueError("table step %d for remainder %r is not -1, 0 "
                              "or 1" % (a2 - a1, mu))
-    diff = [0] * m
-    total = 0
-    for t, first, steps in row_classes(n):
-        mu, (t1, t2, t3) = box_decompose((n - t - first, first, t))
+    diff, total = [0] * m, 0
+    for t, j in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
+        k = ((n - 2 * j) // 3 - t) // 2 + 1  # classes t, t + 2, ..
+        if k <= 0:
+            continue
+        mu, (t1, t2, t3) = box_decompose((n - 2 * t - j, t + j, t))
         entry = table.get(mu)
         if entry is None:
             return None
         a1, a2, a3, c = entry
-        s = (a1 * t1 + a2 * t2 + a3 * t3 + c) % m
-        if a2 < a1:  # the run s, s-1, .., s-steps, read upward
-            s = (s - steps) % m
-        size = steps + 1
-        total += size
-        w, end = (size, s + 1) if a2 == a1 else (1, s + size)
-        diff[s] += w
-        diff[end % m] -= w
+        s, e = a1 * t1 + a2 * t2 + a3 * t3 + c, a3 - a1
+        size = ((n - t) // 2 - t - j) // 3 + 1  # L at the first class
+        total += k * size - k * (k - 1) // 2
+        if a2 == a1:  # weight L_i at s_i, -L_i at s_i + 1
+            _add_progression(diff, s, e, k, size, -1)
+            _add_progression(diff, s + 1, e, k, -size, 1)
+        else:  # +1 at the run's lowest crank u_i, -1 at u_i + L_i
+            u, du = (s, e) if a2 > a1 else (s + 1 - size, e + 1)
+            _add_progression(diff, u, du, k)
+            _add_progression(diff, u + size, du - 1, k, -1)
     return _from_cyclic_diff(diff, total, m)
 
 
@@ -185,11 +189,8 @@ DIRECTIONS = {
 
 
 def vertex_crank_values(mu, s, m):
-    """c_ls at the three corners of the size-s triangle with remainder mu.
-
-    Returns (c at L, c at R, c at T) for quotients (s,0,0), (0,s,0),
-    (0,0,s).
-    """
+    """c_ls at the corners (L, R, T), the quotients (s,0,0), (0,s,0) and
+    (0,0,s), of the size-s triangle with remainder mu."""
     corners = ((s, 0, 0), (0, s, 0), (0, 0, s))
     return tuple(c_ls(box_compose(mu, v), m) for v in corners)
 
@@ -831,17 +832,12 @@ def cycle_lengths(dec):
 def permutation_cycles(perm):
     """Cycles of a permutation dict, each starting at its smallest
     element, ordered by that element."""
-    seen = set()
-    out = []
+    seen, out = set(), []
     for start in sorted(perm):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = perm[start]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = perm[cur]
-        out.append(tuple(cyc))
+        if start not in seen:
+            cyc = [start]
+            while perm[cyc[-1]] != start:
+                cyc.append(perm[cyc[-1]])
+            seen.update(cyc)
+            out.append(tuple(cyc))
     return out

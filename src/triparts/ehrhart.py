@@ -7,7 +7,7 @@ decomposition lam = mu + V3 tau is unique and drives the exact counting
 formulas and the crank constructions in the rest of the package.
 """
 
-from fractions import Fraction
+from functools import lru_cache
 
 from .partitions import enumerate_partitions
 
@@ -29,42 +29,30 @@ def v3_apply(tau):
 
 def v3_solve(vec):
     """Exact rational solution a of V3 * a = vec, as Fractions."""
+    from fractions import Fraction  # here only: it imports decimal
     x1, x2, x3 = vec
-    a3 = Fraction(x3, 2)
-    a2 = Fraction(x2 - x3, 3)
-    a1 = Fraction(x1 - x2, 6)
-    return (a1, a2, a3)
+    return (Fraction(x1 - x2, 6), Fraction(x2 - x3, 3), Fraction(x3, 2))
 
 
 def in_fundamental_box(mu):
-    """Membership test for the half-open box F3 = V3 ([0,1) x [0,1) x (0,1]).
-
-    In coordinates: a1 in [0,1), a2 in [0,1), a3 in (0,1], all exact.
-    """
-    a1, a2, a3 = v3_solve(mu)
-    return 0 <= a1 < 1 and 0 <= a2 < 1 and 0 < a3 <= 1
+    """Membership test for the half-open box F3 = V3 ([0,1) x [0,1) x (0,1]):
+    v3_solve's (m1-m2)/6, (m2-m3)/3, m3/2 in those ranges, in integers."""
+    m1, m2, m3 = mu
+    return 0 <= m1 - m2 < 6 and 0 <= m2 - m3 < 3 and 0 < m3 <= 2
 
 
-_FUNDAMENTAL = None
-
-
+@lru_cache(maxsize=None)
 def fundamental_points():
-    """The 36 lattice points of F3, grouped by height.
-
-    Returns a dict mapping height to a sorted tuple of points.  The scan
-    box 0..11 x 0..5 x 0..2 comes from V3 applied to the all-ones vector.
-    """
-    global _FUNDAMENTAL
-    if _FUNDAMENTAL is None:
-        groups = {}
-        for m1 in range(12):
-            for m2 in range(6):
-                for m3 in range(3):
-                    mu = (m1, m2, m3)
-                    if in_fundamental_box(mu):
-                        groups.setdefault(m1 + m2 + m3, []).append(mu)
-        _FUNDAMENTAL = {h: tuple(sorted(pts)) for h, pts in sorted(groups.items())}
-    return _FUNDAMENTAL
+    """The 36 lattice points of F3 as a dict from height to a sorted tuple
+    of points, scanned over the box 0..11 x 0..5 x 0..2 = V3 (1, 1, 1)."""
+    groups = {}
+    for m1 in range(12):
+        for m2 in range(6):
+            for m3 in range(3):
+                mu = (m1, m2, m3)
+                if in_fundamental_box(mu):
+                    groups.setdefault(m1 + m2 + m3, []).append(mu)
+    return {h: tuple(sorted(pts)) for h, pts in sorted(groups.items())}
 
 
 def h_star():

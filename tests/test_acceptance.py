@@ -372,7 +372,7 @@ sys.exit(code)
                     reason="reads the peak RSS from /proc/self/status")
 def test_19_crank_exports_in_bounded_memory(tmp_path):
     # p(4001,3) = 1,334,000 members: the rows of one cycle at a time, never
-    # a tuple per member; the tile holds one run of one group at a time
+    # a tuple per member; the tile holds one block of one group at a time
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for argv, ceiling_mib in (
@@ -528,3 +528,40 @@ def test_24_cells_csv_from_decimal_tables(tmp_path):
                           capture_output=True, env=env, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert int(proc.stdout) <= 16 * 1024, proc.stdout
+
+
+# One CLI call under a 1 GiB address-space cap; prints its time and payload.
+_LIMITED_HISTOGRAM_CHILD = """
+import contextlib, io, json, resource, sys, time
+limit = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from triparts.cli import main
+
+out = io.StringIO()
+start = time.monotonic()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+elapsed = time.monotonic() - start
+print(json.dumps([elapsed, json.loads(out.getvalue())["payload"]]))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("histogram", "3000000000000011", "5", "--crank", "plan",
+     "--r-prime=2m+1"),
+    ("histogram", "3000000000000008", "5", "--crank", "closed"),
+])
+def test_25_crank_histograms_by_row_class_families(argv):
+    # six families of row classes, each a few progressions mod m: O(m) at
+    # a height with 10**15 rows, where a walk of the rows would take years
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_HISTOGRAM_CHILD,
+                           *argv], capture_output=True, env=env, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, ""), argv
+    elapsed, payload = json.loads(proc.stdout)
+    assert payload["total"] == p3_nearest(int(argv[1]))
+    assert payload["uniform"] is True
+    assert elapsed < 1.0, elapsed

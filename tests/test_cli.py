@@ -354,6 +354,12 @@ def test_histogram_errors_cost_the_row_classes(argv):
     assert float(proc.stdout) < 0.2
 
 
+def test_cycles_rejects_heights_off_the_divisible_classes(capsys):
+    # 3 has one partition, so the check is the residue class, not n >= 3
+    assert run(capsys, "cycles", "3", "5") == (
+        2, "", "error: height 3 does not qualify for modulus 5\n")
+
+
 def test_cycles_csv(capsys):
     code, out, _ = run(capsys, "cycles", "22", "5", "--format", "csv")
     assert code == 0
@@ -631,8 +637,16 @@ def _tiling_reference(n):
 
 
 def test_tile_matches_the_enumeration_route(tmp_path, capsys):
-    for n in [*range(301), 600]:
+    for n in [*range(301), 600, 900]:
         assert render_tiling_svg(n) == _tiling_reference(n), n
+    # at 900 every group of ~11,000 circles spans several blocks
+    chunks = list(cli._tiling_chunks(900))
+    starts = [i for i, chunk in enumerate(chunks) if chunk.startswith("<g ")]
+    assert len(starts) == 6
+    for i in starts:
+        blocks = next(j for j in range(i + 1, len(chunks))
+                      if chunks[j].startswith("</g>")) - i - 1
+        assert blocks >= 2, (i, blocks)
     target = tmp_path / "t600.svg"
     assert run(capsys, "tile", "600", str(target)) == (0, "", "")
     assert target.read_text(encoding="utf-8") == _tiling_reference(600)

@@ -114,6 +114,14 @@ def test_verify_small_windows():
         assert rep.checked == bound + 1
 
 
+def test_verify_reports_the_first_mismatch(monkeypatch):
+    # a characterization of 5 without the residue 8: p(8,3) = 5 is divisible
+    wrong = residues_neg(5)._replace(residues=residues_neg(5).residues - {8})
+    monkeypatch.setattr(congruence, "characterize", lambda m: wrong)
+    rep = verify_characterization(5, 300)
+    assert (rep.ok, rep.first_mismatch, rep.checked) == (False, 8, 9)
+
+
 def test_non_witnessed_residues():
     assert non_witnessed_residues(7) == frozenset({9, 33})
     with pytest.raises(ValueError):

@@ -42,7 +42,12 @@ from triparts.congruence import (
     non_witnessed_residues,
     residues_pos,
 )
-from triparts.ehrhart import box_compose, fundamental_points
+from triparts.ehrhart import (
+    box_compose,
+    box_decompose,
+    fundamental_points,
+    row_classes,
+)
 from triparts.partitions import count_bruteforce, enumerate_partitions
 
 # ---------------------------------------------------------------------------
@@ -172,6 +177,11 @@ def test_vertex_values_minus5_0_5():
     assert vertex_crank_values((1, 1, 1), 0, 7) == (0, 0, 0)
 
 
+def test_directions_pins():
+    assert cranks.DIRECTIONS == {"L->R": (-1, 1, 0), "L->T": (-1, 0, 1),
+                                 "R->T": (0, -1, 1)}
+
+
 def test_step_deltas_constants():
     assert step_deltas() == {"L->R": -3, "L->T": -6, "R->T": -3}
 
@@ -276,6 +286,68 @@ def test_table_histograms_match_enumeration():
             assert got == _enumerated(n, m, crank), (name, m, n)
             # |mu| = n mod 6, and a table holds every remainder of its class
             assert (got is None) == (n >= 3 and (n - r) % 6 != 0), (name, n)
+
+
+def _row_class_walk(n, m, table):
+    """table_histogram by one box_decompose per row class, O(n + m): the
+    route the row-class families replaced, kept as their reference."""
+    diff = [0] * m
+    total = 0
+    for t, first, steps in row_classes(n):
+        mu, (t1, t2, t3) = box_decompose((n - t - first, first, t))
+        entry = table.get(mu)
+        if entry is None:
+            return None
+        a1, a2, a3, c = entry
+        s = (a1 * t1 + a2 * t2 + a3 * t3 + c) % m
+        if a2 < a1:  # the run s, s-1, .., s-steps, read upward
+            s = (s - steps) % m
+        size = steps + 1
+        total += size
+        w, end = (size, s + 1) if a2 == a1 else (1, s + size)
+        diff[s] += w
+        diff[end % m] -= w
+    return cranks._from_cyclic_diff(diff, total, m)
+
+
+def test_table_histogram_families_match_the_row_class_walk():
+    checked = 0
+    for m in (5, 11, 17, 23):
+        for label in case_labels():
+            table = plan_table(plan_for(label, m))
+            for n in range(-3, 400):
+                assert (table_histogram(n, m, table)
+                        == _row_class_walk(n, m, table)), (label, m, n)
+                checked += 1
+    for m in (1, 2, 3, 4, 5, 6, 7, 11, 71, 83):
+        for n in range(-3, 400):
+            assert (table_histogram(n, m, closed_form_table())
+                    == _row_class_walk(n, m, closed_form_table())), (m, n)
+            checked += 1
+    rng = random.Random(2015)
+    for _ in range(300):
+        m = rng.choice((5, 11, 17, 23))
+        label = rng.choice((*case_labels(), "closed"))
+        table = (closed_form_table() if label == "closed"
+                 else plan_table(plan_for(label, m)))
+        n = rng.randrange(200000)
+        assert (table_histogram(n, m, table)
+                == _row_class_walk(n, m, table)), (label, m, n)
+        checked += 1
+    assert checked == 18838
+
+
+@given(st.integers(1, 13), st.integers(-40, 40), st.integers(-40, 40),
+       st.integers(0, 60), st.integers(-9, 9), st.integers(-3, 3))
+@example(1, 0, 0, 5, 2, -1)
+@example(7, -3, 0, 20, 4, 1)
+@example(6, 5, 3, 13, -1, 0)
+def test_add_progression_matches_term_by_term(m, a, b, k, w, dw):
+    diff, direct = [1] * m, [1] * m
+    cranks._add_progression(diff, a, b, k, w, dw)
+    for i in range(k):
+        direct[(a + i * b) % m] += w + i * dw
+    assert diff == direct
 
 
 def test_plan_table_reads_the_whole_eta():

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +52,18 @@ def test_membership_half_open():
     assert not in_fundamental_box((0, 0, 0))  # open bottom
     assert not in_fundamental_box((11, 5, 2))  # a = (1,1,1), wraps out
     assert not in_fundamental_box((7, 1, 1))  # first coordinate wraps
+
+
+def test_membership_matches_the_rational_coordinates():
+    # the integer tests against v3_solve's Fractions, on a margin around
+    # the scan box 0..11 x 0..5 x 0..2 of fundamental_points
+    inside = 0
+    for mu in product(range(-2, 14), range(-2, 8), range(-2, 5)):
+        a1, a2, a3 = v3_solve(mu)
+        expected = 0 <= a1 < 1 and 0 <= a2 < 1 and 0 < a3 <= 1
+        assert in_fundamental_box(mu) == expected, mu
+        inside += expected
+    assert inside == 36
 
 
 def test_fundamental_points_by_height():
@@ -206,3 +219,13 @@ def test_package_needs_only_the_standard_library():
     modules = {"triparts." + f[:-3] for f in files
                if f.endswith(".py") and f != "__init__.py"}
     assert set(proc.stdout.split()) == modules | {"triparts"}
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # v3_solve imports fractions (and through it decimal) on its first call
+    code = ("import sys, triparts, triparts.cli; print(sorted({'fractions', "
+            "'decimal', 'numbers'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
