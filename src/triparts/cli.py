@@ -332,17 +332,22 @@ def cmd_rectangle(args):
             for mu, off, mp in plan.placements
         ],
     }
+    try:  # before the report, so an unwritable path prints nothing
+        fp = (open(args.cells_csv, "w", newline="")
+              if args.cells_csv and report.ok and not vacuous else None)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (args.cells_csv, exc))
     _print_report("rectangle",
                   {"m": args.m, "k_prime": args.k_prime, "r_prime": label},
                   "success" if report.ok else "failure", payload)
-    if args.cells_csv and report.ok and not vacuous:
+    if fp is not None:
         # csv.writer's bytes, a row piece at a time, laid (_lay) from slices
         # of per-call tables of decimal strings: x, lambda1 and lambda2 from
         # one, lambda3 with the line end from the other
         commas = ["%d," % v for v in range(max(dims[0], n + 1))]
         ends = ["%d\r\n" % v for v in range(n + 1)]
         try:
-            with open(args.cells_csv, "w", newline="") as fp:
+            with fp:
                 fp.write("x,y,lambda1,lambda2,lambda3\r\n")
                 for y, x, k, *lam in plan._rows(args.k_prime):
                     pieces = [""] * (5 * k)
@@ -483,8 +488,8 @@ def build_parser():
                    help="progression label for --crank plan (e.g. %s)"
                         % ", ".join(case_labels()))
     p.add_argument("--fast", action="store_true",
-                   help="accepted and ignored: every crank counts by row "
-                        "classes")
+                   help="accepted and ignored: c_ls counts by progressions "
+                        "and plan/closed by row-class families, in O(m)")
     p.add_argument("--expect-uniform", action="store_true",
                    help="exit 1 if the histogram is not uniform")
     p.set_defaults(fn=cmd_histogram)

@@ -227,7 +227,8 @@ class AffineMap2:
         if [len(row) for row in self.matrix] != [3, 3]:
             raise ValueError("matrix must be 2x3")
         (a, b, c), (d, e, f) = self.matrix
-        if (a - c) * (e - f) == (b - c) * (d - f):
+        self._det = (a - c) * (e - f) - (b - c) * (d - f)
+        if not self._det:
             raise ValueError("map %r is not injective on a triangle" % (self,))
 
     def apply(self, tau):
@@ -295,7 +296,6 @@ class RectanglePlan:
             if mu in self._by_mu:
                 raise ValueError("duplicate placement for remainder %r" % (mu,))
             self._by_mu[mu] = (size_offset, mp)
-        self._cells = {}
 
     def __repr__(self):
         return "RectanglePlan(%s, m=%d)" % (self.r_label, self.m)
@@ -328,10 +328,8 @@ class RectanglePlan:
         """Mapping (x, y) -> (mu, tau) for every cell of the rectangle.
 
         Raises ValueError if two placements collide or a cell falls
-        outside the rectangle; memoized per k'.
-        """
-        if kprime in self._cells:
-            return self._cells[kprime]
+        outside the rectangle.  The cell-by-cell reference of _lines and
+        rectangle_cycle_step, built on each call."""
         dims = self.dims(kprime)
         k = self.k_for(kprime)
         out = {}
@@ -345,7 +343,6 @@ class RectanglePlan:
                     raise ValueError("cell %r covered twice (mu=%r tau=%r and mu=%r tau=%r)"
                                      % (cell, out[cell][0], out[cell][1], mu, tau))
                 out[cell] = (mu, tau)
-        self._cells[kprime] = out
         return out
 
     def _wrapped(self, dims, s, first, slope):
@@ -558,7 +555,11 @@ def closed_form_table():
 
 def rectangle_cycle_step(plan, lam):
     """One step of the rectangle cycling: move by the plan's delta with
-    wraparound, and pull the landing cell back to a partition."""
+    wraparound, and pull the landing cell back to a partition (cells() is
+    the reference).  On t1 + t2 + t3 = s each placement is the 2x2 system
+    [[a-c, b-c], [d-f, e-f]] (t1, t2) = cell - s (c, f) - offset, solved by
+    Cramer's rule at each copy of the cell along the step axis that the
+    triangle's corners reach; an integral tau >= 0 is the answer."""
     n = lam[0] + lam[1] + lam[2]
     kprime = plan.kprime_for(n)
     dims = plan.dims(kprime)
@@ -566,8 +567,18 @@ def rectangle_cycle_step(plan, lam):
         raise ValueError("plan %s is vacuous at k'=%d" % (plan.r_label, kprime))
     x, y = plan._reduce(plan.locate(lam), dims)
     nxt = ((x + plan.delta[0]) % dims[0], (y + plan.delta[1]) % dims[1])
-    mu, tau = plan.cells(kprime)[nxt]
-    return box_compose(mu, tau)
+    axis, k = plan.delta.index(1), plan.k_for(kprime)
+    for mu, off, mp in plan.placements:
+        s, ((a, b, c), (d, e, f)), (ox, oy) = k - off, mp.matrix, mp.offset
+        qs = [(p * s + mp.offset[axis]) // dims[axis] for p in mp.matrix[axis]]
+        for q in range(min(qs), max(qs) + 1):
+            u = nxt[0] + q * dims[0] * (1 - axis) - c * s - ox
+            v = nxt[1] + q * dims[1] * axis - f * s - oy
+            t1, r1 = divmod((e - f) * u - (b - c) * v, mp._det)
+            t2, r2 = divmod((a - c) * v - (d - f) * u, mp._det)
+            if not (r1 or r2) and min(t1, t2, s - t1 - t2) >= 0:
+                return box_compose(mu, (t1, t2, s - t1 - t2))
+    raise ValueError("no placement covers cell %r at k'=%d" % (nxt, kprime))
 
 
 # ---------------------------------------------------------------------------

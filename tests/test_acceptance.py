@@ -565,3 +565,46 @@ def test_25_crank_histograms_by_row_class_families(argv):
     assert payload["total"] == p3_nearest(int(argv[1]))
     assert payload["uniform"] is True
     assert elapsed < 1.0, elapsed
+
+
+# One rectangle step on plan_for("2m-2", 101) at k' = 10, a rectangle of
+# 3131 x 1043 cells, under a 1 GiB address-space cap; prints the step's
+# time, how far it raised the peak RSS (VmHWM, KiB) and both cranks.
+_RECTANGLE_STEP_CHILD = """
+import json, resource, time
+limit = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from triparts.cranks import ehrhart_crank, plan_for, rectangle_cycle_step
+
+def peak_kib():
+    with open("/proc/self/status") as fp:
+        return int(next(line for line in fp
+                        if line.startswith("VmHWM:")).split()[1])
+
+plan = plan_for("2m-2", 101)
+n = plan.n_for(10)
+lam = (n - 2, 1, 1)
+before = peak_kib()
+start = time.monotonic()
+nxt = rectangle_cycle_step(plan, lam)
+elapsed = time.monotonic() - start
+print(json.dumps([elapsed, peak_kib() - before, plan.dims(10),
+                  ehrhart_crank(plan, lam), ehrhart_crank(plan, nxt)]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_26_rectangle_steps_without_a_cell_dictionary():
+    # the landing cell is pulled back by solving each placement's map, so
+    # the first step costs the placements, not the 3.3e6 cells
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", _RECTANGLE_STEP_CHILD],
+                          capture_output=True, env=env, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    elapsed, rise_kib, dims, crank, next_crank = json.loads(proc.stdout)
+    assert dims == [3131, 1043]
+    assert next_crank == (crank + 1) % 101
+    assert elapsed < 0.010, elapsed
+    assert rise_kib < 4 * 1024, rise_kib

@@ -664,8 +664,8 @@ def test_unwritable_paths_are_input_errors(tmp_path, capsys):
     missing = str(tmp_path / "no-such-dir" / "out")
     for argv in (("tile", "20", missing),
                  ("rectangle", "5", "1", "2m-2", "--cells-csv", missing)):
-        code, _, err = run(capsys, *argv)
-        assert code == 2, argv
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
         assert err.startswith("error: cannot write "), argv
         assert err.count("\n") == 1 and err.endswith("\n"), argv
 

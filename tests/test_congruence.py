@@ -191,10 +191,25 @@ def test_is_prime_switches_to_thirteen_bases_at_jaeschke_bound():
     assert not is_prime(3215031751)
 
 
+# (psi_k, k): psi_k is the least strong pseudoprime to the first k prime
+# bases, and psi_7 = psi_8, psi_9 = psi_10 = psi_11; psi_13 is the bound
+_PSI = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+        (2152302898747, 5), (3474749660383, 6), (341550071728321, 8),
+        (3825123056546413051, 11), (318665857834031151167461, 12))
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def test_is_prime_on_strong_pseudoprimes_and_large_primes():
-    # strong pseudoprimes to the bases 2..7 and 2..37: composite
-    assert not is_prime(3215031751)
-    assert not is_prime(318665857834031151167461)
+    # each psi_k passes the first k bases and fails the next: composite
+    for psi, k in _PSI:
+        assert all(_strong_probable_prime(psi, a) for a in _PRIME_BASES[:k])
+        assert not _strong_probable_prime(psi, _PRIME_BASES[k])
+        assert not is_prime(psi), psi
+    # a strong pseudoprime to the bases 2, 3, 6 and 7 but not 5, so a
+    # small-base set without 5 would call it prime
+    assert [_strong_probable_prime(2284453, a) for a in (2, 3, 5, 6, 7)] == [
+        True, True, False, True, True]
+    assert not is_prime(2284453)
     assert not is_prime(561)  # Carmichael
     assert is_prime(1000000000000000003)
     assert is_prime(2 ** 61 - 1)

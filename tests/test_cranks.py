@@ -553,7 +553,6 @@ def test_build_all_cases_cover_and_uniform():
 def _cover_from_cells(plan, kprime):
     """The cover report as read off the cell-by-cell reference cells()."""
     expected = plan.dims(kprime)[0] * plan.dims(kprime)[1]
-    plan._cells.pop(kprime, None)
     try:
         got = len(plan.cells(kprime))
     except ValueError as exc:
@@ -579,6 +578,58 @@ def _moved(plan, which, matrix_fn, offset_fn):
         placements[i] = (mu, size_offset,
                          AffineMap2(matrix_fn(mp.matrix), offset_fn(mp.offset)))
     return _replan(plan, placements)
+
+
+def _moved_copies(plan, kprime):
+    """The plan with its step axis reflected, u -> wrap - 1 - u, and moved
+    one period along it: both exact covers at k' (see the mirrored test)."""
+    axis = plan.delta.index(1)
+    wrap = plan.dims(kprime)[axis]
+    everything = range(len(plan.placements))
+    mirrored = _moved(
+        plan, everything,
+        lambda mat: tuple(tuple(-x for x in row) if i == axis else row
+                          for i, row in enumerate(mat)),
+        lambda off: tuple(wrap - 1 - o if i == axis else o
+                          for i, o in enumerate(off)))
+    shifted = _moved(plan, everything, lambda mat: mat,
+                     lambda off: tuple(o + wrap * (i == axis)
+                                       for i, o in enumerate(off)))
+    return [mirrored, shifted]
+
+
+@pytest.mark.parametrize("m", [5, 11])
+def test_rectangle_steps_match_cells(m):
+    # rectangle_cycle_step solves the placement maps for the landing cell;
+    # cells() is the reference.  The moved copies reach triangles whose
+    # images start below 0 or end a period or more past the dimension.
+    plans = [build_arrangement(label, m) for label in case_labels()]
+    steps = 0
+    for plan in plans + [arrangement_2m_minus_2(m)]:
+        for kprime in range(4):
+            for p in [plan] + (_moved_copies(plan, kprime) if kprime else []):
+                (w, h), (dx, dy) = p.dims(kprime), p.delta
+                cells = p.cells(kprime)
+                for (x, y), (mu, tau) in cells.items():
+                    got = rectangle_cycle_step(p, box_compose(mu, tau))
+                    assert got == box_compose(
+                        *cells[((x + dx) % w, (y + dy) % h)]), (p, kprime, x, y)
+                steps += len(cells)
+    assert steps == {5: 32555, 11: 158213}[m]
+
+
+def test_rectangle_step_errors():
+    with pytest.raises(ValueError, match="^plan 0 is vacuous at k'=0$"):
+        rectangle_cycle_step(plan_for("0", 5), (0, 0, 0))
+    # the (8, 4, 2) triangle dropped: (0, 5) is its cell (tau2 + tau3,
+    # tau1 + tau2 + 1) at tau = (4, 0, 0), and the step from (19, 5) wraps
+    # onto it
+    plan = arrangement_2m_minus_2(5)
+    gapped = _replan(plan, plan.placements[:-1])
+    lam = box_compose(*gapped.cells(1)[(19, 5)])
+    with pytest.raises(ValueError,
+                       match=r"^no placement covers cell \(0, 5\) at k'=1$"):
+        rectangle_cycle_step(gapped, lam)
 
 
 def _expand(pieces):
