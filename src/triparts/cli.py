@@ -5,13 +5,16 @@ cycles, rectangle, tile.  JSON goes to stdout wrapped in a fixed report
 envelope (documented in docs/cli-schema.json) and written byte for byte as
 json.dumps(report, sort_keys=True, indent=2) would write it; `decompose`
 emits the bare {"mu": ..., "tau": ...} object.  CSV uses CRLF line
-endings with fixed column orders.  Exit codes: 0 success, 1 verification
-failure, 2 input error or a stdout that fails before all output is
-written, closed or full (one `error:` line on stderr, no traceback).  A
-failed internal proof check (an AssertionError, such as row_permutation
-finding a border jump that does not raise c_ls by one) is a verification
-failure: exit 1, nothing on stdout, one `error: internal check failed:
-...` line on stderr.  All output is deterministic for identical inputs.
+endings with fixed column orders.  The files of `tile` and `rectangle
+--cells-csv` are complete before any report is printed.  Exit codes: 0
+success, 1 verification failure, 2 input error (an export file that cannot
+be opened or written among them, with nothing on stdout) or a stdout that
+fails before all output is written, closed or full (one `error:` line on
+stderr, no traceback).  A failed internal proof check (an AssertionError,
+such as row_permutation finding a border jump that does not raise c_ls by
+one) is a verification failure: exit 1, nothing on stdout, one `error:
+internal check failed: ...` line on stderr.  All output is deterministic
+for identical inputs.
 """
 
 import argparse
@@ -332,32 +335,38 @@ def cmd_rectangle(args):
             for mu, off, mp in plan.placements
         ],
     }
-    try:  # before the report, so an unwritable path prints nothing
-        fp = (open(args.cells_csv, "w", newline="")
-              if args.cells_csv and report.ok and not vacuous else None)
-    except OSError as exc:
-        raise ValueError("cannot write %s: %s" % (args.cells_csv, exc))
+    if args.cells_csv and report.ok and not vacuous:
+        _write_file(args.cells_csv,
+                    _cells_csv_chunks(plan, args.k_prime, n, dims[0]))
     _print_report("rectangle",
                   {"m": args.m, "k_prime": args.k_prime, "r_prime": label},
                   "success" if report.ok else "failure", payload)
-    if fp is not None:
-        # csv.writer's bytes, a row piece at a time, laid (_lay) from slices
-        # of per-call tables of decimal strings: x, lambda1 and lambda2 from
-        # one, lambda3 with the line end from the other
-        commas = ["%d," % v for v in range(max(dims[0], n + 1))]
-        ends = ["%d\r\n" % v for v in range(n + 1)]
-        try:
-            with fp:
-                fp.write("x,y,lambda1,lambda2,lambda3\r\n")
-                for y, x, k, *lam in plan._rows(args.k_prime):
-                    pieces = [""] * (5 * k)
-                    _lay(pieces, 0, k, commas[x:x + k], ["%d," % y] * k,
-                         *(_stepped(table, l, d, k) for table, l, d in zip(
-                             (commas, commas, ends), lam, lam[3:])))
-                    fp.write("".join(pieces))
-        except OSError as exc:
-            raise ValueError("cannot write %s: %s" % (args.cells_csv, exc))
     return 0 if report.ok else 1
+
+
+def _cells_csv_chunks(plan, kprime, n, width):
+    """rectangle --cells-csv in chunks: csv.writer's bytes, a row piece at a
+    time, laid (_lay) from slices of per-call tables of decimal strings: x,
+    lambda1 and lambda2 from one, lambda3 with the line end from the other."""
+    commas = ["%d," % v for v in range(max(width, n + 1))]
+    ends = ["%d\r\n" % v for v in range(n + 1)]
+    yield "x,y,lambda1,lambda2,lambda3\r\n"
+    for y, x, k, *lam in plan._rows(kprime):
+        pieces = [""] * (5 * k)
+        _lay(pieces, 0, k, commas[x:x + k], ["%d," % y] * k,
+             *(_stepped(table, l, d, k) for table, l, d in zip(
+                 (commas, commas, ends), lam, lam[3:])))
+        yield "".join(pieces)
+
+
+def _write_file(path, chunks):
+    """Write the chunks to path.  A failed open or write is an input error,
+    raised before any report is printed: exit 2 with nothing on stdout."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fp:
+            fp.writelines(chunks)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc))
 
 
 # `tile` lays, joins and writes a block once it holds this many circles:
@@ -431,11 +440,7 @@ def render_tiling_svg(n):
 def cmd_tile(args):
     if args.n < 3:
         raise ValueError("need n >= 3 for a non-empty tiling, got %d" % args.n)
-    try:
-        with open(args.path, "w", encoding="utf-8") as fp:
-            fp.writelines(_tiling_chunks(args.n))
-    except OSError as exc:
-        raise ValueError("cannot write %s: %s" % (args.path, exc))
+    _write_file(args.path, _tiling_chunks(args.n))
     return 0
 
 

@@ -559,7 +559,8 @@ def rectangle_cycle_step(plan, lam):
     the reference).  On t1 + t2 + t3 = s each placement is the 2x2 system
     [[a-c, b-c], [d-f, e-f]] (t1, t2) = cell - s (c, f) - offset, solved by
     Cramer's rule at each copy of the cell along the step axis that the
-    triangle's corners reach; an integral tau >= 0 is the answer."""
+    triangle's corners reach; an integral tau >= 0 is the answer.  lam's own
+    placement goes first, as most steps land in it (a miss retries it)."""
     n = lam[0] + lam[1] + lam[2]
     kprime = plan.kprime_for(n)
     dims = plan.dims(kprime)
@@ -568,7 +569,8 @@ def rectangle_cycle_step(plan, lam):
     x, y = plan._reduce(plan.locate(lam), dims)
     nxt = ((x + plan.delta[0]) % dims[0], (y + plan.delta[1]) % dims[1])
     axis, k = plan.delta.index(1), plan.k_for(kprime)
-    for mu, off, mp in plan.placements:
+    first = box_decompose(lam)[0]
+    for mu, off, mp in ((first, *plan._by_mu[first]), *plan.placements):
         s, ((a, b, c), (d, e, f)), (ox, oy) = k - off, mp.matrix, mp.offset
         qs = [(p * s + mp.offset[axis]) // dims[axis] for p in mp.matrix[axis]]
         for q in range(min(qs), max(qs) + 1):

@@ -553,13 +553,17 @@ def test_rectangle_report(capsys):
     assert len(doc["payload"]["placements"]) == 6
 
 
-def test_rectangle_vacuous(capsys):
-    code, out, _ = run(capsys, "rectangle", "5", "0", "0")
-    assert code == 0
-    doc = check_schema(out)
-    assert doc["payload"]["vacuous"] is True
-    assert doc["payload"]["cover_ok"] is True
-    assert doc["payload"]["cells"] == 0
+def test_rectangle_vacuous(tmp_path, capsys):
+    # the report, and no file: a vacuous cover has no cells to export
+    target = tmp_path / "cells.csv"
+    for extra in ((), ("--cells-csv", str(target))):
+        code, out, _ = run(capsys, "rectangle", "5", "0", "0", *extra)
+        assert code == 0
+        doc = check_schema(out)
+        assert doc["payload"]["vacuous"] is True
+        assert doc["payload"]["cover_ok"] is True
+        assert doc["payload"]["cells"] == 0
+        assert not target.exists()
 
 
 @pytest.mark.parametrize("argv", [("5", "-1", "0"), ("5", "0", "--", "-1"),
@@ -662,11 +666,15 @@ def test_tile_rejects_tiny_n(tmp_path, capsys):
 
 def test_unwritable_paths_are_input_errors(tmp_path, capsys):
     missing = str(tmp_path / "no-such-dir" / "out")
-    for argv in (("tile", "20", missing),
-                 ("rectangle", "5", "1", "2m-2", "--cells-csv", missing)):
+    argvs = [("tile", "20", missing),
+             ("rectangle", "5", "1", "2m-2", "--cells-csv", missing)]
+    if os.path.exists("/dev/full"):  # opens, then every write fails
+        argvs += [("tile", "20", "/dev/full"),
+                  ("rectangle", "11", "1", "0", "--cells-csv", "/dev/full")]
+    for argv in argvs:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
-        assert err.startswith("error: cannot write "), argv
+        assert err.startswith("error: cannot write %s: " % argv[-1]), argv
         assert err.count("\n") == 1 and err.endswith("\n"), argv
 
 
